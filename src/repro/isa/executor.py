@@ -10,7 +10,7 @@ every load (the PR edges of Table 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.isa.instructions import (
     INST_BYTES,
@@ -52,17 +52,27 @@ class Executor:
         Hard bound on committed instructions; exceeding it raises
         :class:`ExecutionLimitExceeded` so runaway workloads fail loudly
         instead of hanging a benchmark run.
+    memory_init:
+        Initial data memory.  A ``dict`` is copied into :attr:`memory`
+        (addresses aligned down to words).  Any other mapping with a
+        ``get(word, default)`` -- a workload's
+        :class:`~repro.workloads.kernels.MemoryImage` -- is read through,
+        once per word, for words the program has not stored to, and is
+        never written.
     """
 
     def __init__(self, program: Program, max_insts: int = 2_000_000,
-                 memory_init: Optional[Dict[int, int]] = None) -> None:
+                 memory_init: Optional[Mapping[int, int]] = None) -> None:
         self.program = program
         self.max_insts = max_insts
         self.int_regs: List[int] = [0] * TOTAL_REG_COUNT
         self.memory: Dict[int, int] = {}
-        if memory_init:
+        self._image: Mapping[int, int] = {}
+        if isinstance(memory_init, dict):
             for addr, value in memory_init.items():
                 self.memory[addr - (addr % MEM_WORD)] = value
+        elif memory_init is not None:
+            self._image = memory_init
         self._last_writer: List[int] = [-1] * TOTAL_REG_COUNT
         self._last_store: Dict[int, int] = {}
 
@@ -160,7 +170,11 @@ class Executor:
             mem_addr = (self._read(st.srcs[0]) + st.imm) & _MASK
             word = mem_addr - (mem_addr % MEM_WORD)
             mem_producer = self._last_store.get(word, -1)
-            self._write(st.dst, self.memory.get(word, 0), seq)
+            value = self.memory.get(word)
+            if value is None:
+                # first read of an unstored word: ask the image once
+                value = self.memory[word] = self._image.get(word, 0)
+            self._write(st.dst, value, seq)
         elif op is Opcode.ST:
             mem_addr = (self._read(st.srcs[0]) + st.imm) & _MASK
             word = mem_addr - (mem_addr % MEM_WORD)

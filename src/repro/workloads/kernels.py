@@ -13,6 +13,7 @@ behaviours compose predictably.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Dict, List
 
 from repro.isa.program import ProgramBuilder
@@ -38,14 +39,30 @@ class MemoryImage:
       their accesses are steady-state 12-cycle L1 misses.
     - ``"cold"``: giant heaps touched once (mcf-style lists); their
       memory-latency misses *are* the steady state.
+
+    Storage is flat: :meth:`fill` writes into one int64 array per
+    region (allocated on first fill, so unfilled words read 0), and
+    single-word writes (``image[addr] = v``) go to a sparse overlay.
+    The last write to a word wins whichever path made it.  The image
+    is a read-only mapping for the executor, which keeps its stores to
+    itself, so one image can back any number of executions.
     """
 
     WARMTHS = ("cold", "l2", "l1")
 
     def __init__(self) -> None:
-        self.data: Dict[int, int] = {}
         self.regions: List[tuple] = []  # (base, bytes, warmth)
         self._next_region = 0x10_0000   # regions start at 1 MiB
+        self._bases: List[int] = []     # region bases, ascending
+        self._words: Dict[int, object] = {}   # region base -> int64 array
+        self._overlay: Dict[int, int] = {}
+        # the region of the last read: (start, end, memoryview or None)
+        self._hit: tuple = (0, 0, None)
+
+    @property
+    def data(self) -> "MemoryImage":
+        """The image as an address -> word mapping (the image itself)."""
+        return self
 
     def alloc(self, words: int, align: int = 4096,
               warmth: str = "cold") -> int:
@@ -56,17 +73,147 @@ class MemoryImage:
         size = words * WORD
         self._next_region += size + (-size % align) + align
         self.regions.append((base, size, warmth))
+        self._bases.append(base)
         return base
 
-    def fill(self, base: int, values: List[int]) -> None:
-        """Write *values* as consecutive words starting at *base*."""
-        for i, value in enumerate(values):
-            self.data[base + i * WORD] = value
+    def _region(self, addr: int):
+        """(base, bytes) of the region holding *addr*, or None."""
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            base, size, _ = self.regions[i]
+            if addr < base + size:
+                return base, size
+        return None
+
+    def fill(self, base: int, values) -> None:
+        """Write *values* (a sequence or array) as consecutive words
+        starting at *base*, inside one allocated region."""
+        import numpy as np
+
+        values = np.asarray(values, dtype=np.int64)
+        end = base + len(values) * WORD
+        region = self._region(base)
+        if region is None or end > region[0] + region[1]:
+            raise ValueError(f"fill [{base:#x}, {end:#x}) leaves its region")
+        start, size = region
+        words = self._words.get(start)
+        if words is None:
+            words = self._words[start] = np.zeros(size // WORD, np.int64)
+            self._hit = (0, 0, None)
+        lo = (base - start) // WORD
+        words[lo:lo + len(values)] = values
+        if self._overlay:
+            for addr in [a for a in self._overlay if base <= a < end]:
+                del self._overlay[addr]
+
+    def __setitem__(self, addr: int, value: int) -> None:
+        self._overlay[addr - addr % WORD] = value
+
+    def get(self, addr: int, default: int = 0) -> int:
+        """The word at *addr*: 0 if unwritten inside a region, else
+        *default* if outside every region."""
+        value = self._overlay.get(addr)
+        if value is not None:
+            return value
+        start, end, words = self._hit
+        if not start <= addr < end:
+            region = self._region(addr)
+            if region is None:
+                return default
+            start, size = region
+            end = start + size
+            words = self._words.get(start)
+            # a memoryview indexes to a plain int, 4x faster than numpy
+            words = None if words is None else words.data
+            self._hit = (start, end, words)
+        return 0 if words is None else words[(addr - start) // WORD]
+
+    def __getitem__(self, addr: int) -> int:
+        value = self.get(addr, None)
+        if value is None:
+            raise KeyError(addr)
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        """Same regions, same filled words (an unfilled region equals
+        an all-zero one) and same single-word writes."""
+        if not isinstance(other, MemoryImage):
+            return NotImplemented
+        if self.regions != other.regions or self._overlay != other._overlay:
+            return False
+        import numpy as np
+
+        for base in self._words.keys() | other._words.keys():
+            mine, theirs = self._words.get(base), other._words.get(base)
+            if mine is None or theirs is None:
+                if np.any(mine if theirs is None else theirs):
+                    return False
+            elif not np.array_equal(mine, theirs):
+                return False
+        return True
 
     def ranges(self, warmth: str):
         """(start, end) byte ranges of all regions with *warmth*."""
         return tuple((base, base + size) for base, size, w in self.regions
                      if w == warmth)
+
+
+# ----------------------------------------------------------------------
+# random draws
+
+#: Runs shorter than this draw through the ``randrange`` loop: the
+#: numpy replay's fixed cost (~0.4 ms, mostly building and loading the
+#: MT19937 state) matches ~1000 loop draws.
+VECTOR_MIN_DRAWS = 1024
+
+
+def randrange_run(rng: random.Random, count: int, lo: int, hi: int):
+    """``[rng.randrange(lo, hi) for _ in range(count)]`` as an int64 array.
+
+    Bit-exact and stream-exact: *rng* (a plain :class:`random.Random`)
+    ends in the same state as after the loop.  Long runs replay its
+    MT19937 stream in numpy instead of looping: load ``getstate()``
+    into numpy's ``MT19937``, take raw 32-bit words, apply
+    ``randrange``'s rejection rule (keep ``word >> (32 - k)`` when it is
+    below the width, *k* the width's bit length) vectorized, then hand
+    the advanced state back with ``setstate()``.  Short runs and widths
+    over 32 bits, where one draw spans several words, take the loop.
+    """
+    import numpy as np
+
+    width = hi - lo
+    k = width.bit_length()
+    if count < VECTOR_MIN_DRAWS or not 0 < k <= 32:
+        return np.array([rng.randrange(lo, hi) for _ in range(count)],
+                        dtype=np.int64)
+    version, internal, gauss_next = rng.getstate()
+    bitgen = np.random.MT19937(0)  # state replaced below
+    bitgen.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.array(internal[:-1], np.uint32),
+                              "pos": internal[-1]}}
+    chunks, need = [], count
+    while need:
+        # every draw takes at least one word, so taking exactly `need`
+        # words never reads past the loop's last one; the rejected
+        # share (at most half) is drawn again next round
+        r = bitgen.random_raw(need) >> (32 - k)
+        r = r[r < width]
+        chunks.append(r)
+        need -= len(r)
+    end = bitgen.state["state"]
+    rng.setstate((version, tuple(end["key"].tolist()) + (int(end["pos"]),),
+                  gauss_next))
+    return np.concatenate(chunks).astype(np.int64) + lo
+
+
+def shuffled_range(rng: random.Random, count: int):
+    """``range(count)`` put through one ``rng.shuffle``, as an int64
+    array."""
+    import numpy as np
+
+    order = list(range(count))
+    rng.shuffle(order)
+    return np.array(order, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -82,15 +229,16 @@ def build_linked_list(mem: MemoryImage, nodes: int, rng: random.Random,
     traversal produces dependent cache (and, for large lists, TLB)
     misses -- the mcf-style behaviour.
     """
-    order = list(range(nodes))
-    rng.shuffle(order)
+    import numpy as np
+
+    order = shuffled_range(rng, nodes)
     base = mem.alloc(nodes * 2, warmth=warmth)
-    addr_of = [base + i * 2 * WORD for i in range(nodes)]
-    for pos, node in enumerate(order):
-        nxt = addr_of[order[pos + 1]] if pos + 1 < nodes else 0
-        value = value_fn(pos) if value_fn else rng.randrange(0, 100)
-        mem.fill(addr_of[node], [nxt, value])
-    return addr_of[order[0]]
+    node_words = np.zeros((nodes, 2), dtype=np.int64)
+    node_words[order[:-1], 0] = base + order[1:] * 2 * WORD
+    node_words[order, 1] = ([value_fn(pos) for pos in range(nodes)]
+                            if value_fn else randrange_run(rng, nodes, 0, 100))
+    mem.fill(base, node_words.ravel())
+    return base + int(order[0]) * 2 * WORD
 
 
 def build_random_words(mem: MemoryImage, words: int, rng: random.Random,
@@ -98,7 +246,7 @@ def build_random_words(mem: MemoryImage, words: int, rng: random.Random,
                        warmth: str = "cold") -> int:
     """An array of uniform random values; returns the base address."""
     base = mem.alloc(words, warmth=warmth)
-    mem.fill(base, [rng.randrange(lo, hi) for _ in range(words)])
+    mem.fill(base, randrange_run(rng, words, lo, hi))
     return base
 
 
@@ -108,13 +256,13 @@ def build_permutation_chain(mem: MemoryImage, words: int,
     offset of the next element.  Chasing it produces strictly serial
     load-to-load dependences; sized to stay L1-resident it is the
     purest driver of dl1-loop cost."""
-    order = list(range(words))
-    rng.shuffle(order)
+    import numpy as np
+
+    order = shuffled_range(rng, words)
     base = mem.alloc(words, warmth=warmth)
-    values = [0] * words
-    for pos, idx in enumerate(order):
-        values[idx] = order[(pos + 1) % words] * WORD
-    mem.fill(base, values)
+    offsets = np.empty(words, dtype=np.int64)
+    offsets[order] = np.roll(order, -1) * WORD
+    mem.fill(base, offsets)
     return base
 
 
@@ -122,7 +270,7 @@ def build_index_array(mem: MemoryImage, entries: int, target_words: int,
                       rng: random.Random, warmth: str = "l1") -> int:
     """An array of random word indices into a *target_words*-sized array."""
     base = mem.alloc(entries, warmth=warmth)
-    mem.fill(base, [rng.randrange(target_words) * WORD for _ in range(entries)])
+    mem.fill(base, randrange_run(rng, entries, 0, target_words) * WORD)
     return base
 
 

@@ -112,8 +112,8 @@ def generate(spec: MixSpec, scale: float = 1.0, seed: int = 0):
         stride = K.WORDS_PER_LINE if spec.chase_seed_warmth != "l1" else 1
         chase_seeds = mem.alloc(per_iter * (iters + 1) * stride,
                                 warmth=spec.chase_seed_warmth)
-        mem.fill(chase_seeds, [rng.randrange(chain_nodes) * 2 * WORD
-                               for _ in range(per_iter * (iters + 1) * stride)])
+        mem.fill(chase_seeds, K.randrange_run(
+            rng, per_iter * (iters + 1) * stride, 0, chain_nodes) * 2 * WORD)
     gather_region = gather_idx = None
     if spec.gather_count:
         words = spec.gather_kb * 1024 // WORD
@@ -182,12 +182,14 @@ def generate(spec: MixSpec, scale: float = 1.0, seed: int = 0):
 def _build_payload_chain(mem: MemoryImage, nodes: int,
                          rng: random.Random) -> int:
     """A cyclic chain of 2-word nodes: [next offset, random payload]."""
-    order = list(range(nodes))
-    rng.shuffle(order)
+    import numpy as np
+
+    order = K.shuffled_range(rng, nodes)
     base = mem.alloc(nodes * 2, warmth="l1")
-    for pos, idx in enumerate(order):
-        nxt = order[(pos + 1) % nodes] * 2 * WORD
-        mem.fill(base + idx * 2 * WORD, [nxt, rng.randrange(0, 100)])
+    node_words = np.empty((nodes, 2), dtype=np.int64)
+    node_words[order, 0] = np.roll(order, -1) * 2 * WORD
+    node_words[order, 1] = K.randrange_run(rng, nodes, 0, 100)
+    mem.fill(base, node_words.ravel())
     return base
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Mapping
 
 from repro.isa.executor import Executor
 from repro.isa.program import Program, ProgramBuilder
@@ -50,7 +50,8 @@ class Workload:
     name: str
     description: str
     program: Program
-    memory: Dict[int, int] = field(default_factory=dict)
+    #: the initial data image: a MemoryImage, or a plain dict
+    memory: Mapping[int, int] = field(default_factory=dict)
     warm_l1_ranges: tuple = ()
     warm_l2_ranges: tuple = ()
 

@@ -13,7 +13,7 @@ from repro.core import CachingCostProvider, interaction_breakdown
 from repro.core.categories import Category
 from repro.graph import engine as engine_mod
 from repro.profiler import profile_trace
-from repro.workloads import get_workload
+from repro.workloads import get_workload, registry
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +51,16 @@ class TestPipelineSpans:
         get_workload("gzip", scale=0.05, seed=12345)
         obs.disable()
         assert c2.counter("workload.trace.cache_hit") == 1
+
+    def test_trace_cache_eviction_metrics(self, monkeypatch):
+        cache = registry._TraceCache(1)
+        monkeypatch.setattr(registry, "_TRACES", cache)
+        c = obs.enable()
+        get_workload("gzip", scale=0.05, seed=23456)
+        get_workload("gzip", scale=0.05, seed=23457)
+        obs.disable()
+        assert c.counter("workload.trace.evicted") == 1
+        assert c.gauges["workload.trace.cached_insts"] == cache.insts > 0
 
     def test_span_args_carry_sizes(self, collected):
         by_name = {s[0]: s[4] for s in collected.spans}

@@ -1,9 +1,13 @@
 """The synthetic workload suite: determinism, shape and registry."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.uarch import simulate
 from repro.workloads import WORKLOAD_NAMES, TABLE4BC_NAMES, get_workload, get_program
+from repro.workloads import registry
 from repro.workloads.registry import get_workload_object
 
 SCALE = 0.25  # keep suite-wide sweeps fast
@@ -43,6 +47,8 @@ class TestDeterminism:
         a = get_workload_object("twolf", scale=SCALE, seed=0)
         b = get_workload_object("twolf", scale=SCALE, seed=1)
         assert a.memory != b.memory
+        assert a.memory == get_workload_object("twolf", scale=SCALE,
+                                               seed=0).memory
 
 
 class TestScaling:
@@ -109,3 +115,71 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             random_program(seed=1, load_frac=0.5, store_frac=0.4,
                            branch_frac=0.3)
+
+
+class TestTraceCache:
+    @pytest.fixture()
+    def small_cache(self, monkeypatch):
+        cache = registry._TraceCache(4_000)
+        monkeypatch.setattr(registry, "_TRACES", cache)
+        return cache
+
+    def test_budget_holds_and_newest_stays(self, small_cache):
+        for seed in range(6):
+            trace = get_workload("gzip", scale=0.2, seed=1000 + seed)
+            assert small_cache.insts <= small_cache.max_insts
+            assert small_cache.lookup(("gzip", 0.2, 1000 + seed)) is trace
+        assert small_cache.lookup(("gzip", 0.2, 1000)) is None
+
+    def test_oversized_trace_still_cached(self, small_cache):
+        small_cache.max_insts = 10
+        trace = get_workload("gzip", scale=0.2, seed=2000)
+        assert small_cache.lookup(("gzip", 0.2, 2000)) is trace
+        get_workload("gzip", scale=0.2, seed=2001)
+        assert small_cache.lookup(("gzip", 0.2, 2000)) is None
+
+    def test_hit_refreshes_recency(self, small_cache):
+        a = get_workload("gzip", scale=0.2, seed=3000)
+        small_cache.max_insts = 2 * len(a.insts) + 10
+        get_workload("gzip", scale=0.2, seed=3001)
+        assert get_workload("gzip", scale=0.2, seed=3000) is a
+        get_workload("gzip", scale=0.2, seed=3002)
+        assert small_cache.lookup(("gzip", 0.2, 3000)) is a
+        assert small_cache.lookup(("gzip", 0.2, 3001)) is None
+
+    def test_threads_sharing_keys(self, small_cache):
+        """Two threads per key, more threads than cores, a short switch
+        interval: every caller gets the oracle trace and the cache's
+        instruction total stays exact."""
+        from tests.test_trace_golden import trace_digest
+        seeds = range(4000, 4004)
+        oracle = {s: trace_digest(get_workload_object("gzip", 0.2, s).trace())
+                  for s in seeds}
+        jobs = [s for s in seeds for _ in range(2)]
+        barrier = threading.Barrier(len(jobs))
+        got = {}
+
+        def ask(i, seed):
+            barrier.wait()
+            got[i] = trace_digest(get_workload("gzip", scale=0.2, seed=seed))
+
+        threads = [threading.Thread(target=ask, args=job)
+                   for job in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: oracle[s] for i, s in enumerate(jobs)}
+        cached = small_cache._traces.values()
+        assert small_cache.insts == sum(len(t.insts) for t in cached)
+        assert small_cache.insts <= small_cache.max_insts
+
+    def test_suite_fits_the_budget(self):
+        total = sum(len(get_workload(n).insts) for n in WORKLOAD_NAMES)
+        assert total <= registry.TRACE_CACHE_INSTS == 1 << 17
