@@ -129,12 +129,10 @@ def _log_level(args) -> str:
 
 def _warn_native_fallback() -> None:
     """Surface a silent C-kernel compile/load failure, once per process."""
-    from repro.graph.engine import native_fallback_warning
-    from repro.uarch.fastcore import sim_native_fallback_warning
+    from repro.native import fallback_warnings
 
-    for message in (native_fallback_warning(), sim_native_fallback_warning()):
-        if message:
-            print(message, file=sys.stderr)
+    for message in fallback_warnings():
+        print(message, file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

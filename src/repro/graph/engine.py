@@ -45,8 +45,6 @@ import ctypes
 import hashlib
 import os
 import random
-import subprocess
-import tempfile
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
@@ -60,7 +58,7 @@ from repro.core.categories import Category, EventSelection
 from repro.graph.critical_path import longest_path
 from repro.graph.idealize import GraphIdealizer
 from repro.graph.model import DependenceGraph
-from repro.lockfile import compile_lock
+from repro.native import NativeKernel, i64_ptr, reset_all
 
 Target = Union[Category, EventSelection]
 Key = FrozenSet[Target]
@@ -97,120 +95,27 @@ void cp_sweep(int64_t n_nodes, const int64_t *cs, const int64_t *src,
 }
 """
 
-_NATIVE_SENTINEL = object()
-_native_fn = _NATIVE_SENTINEL  # module-level cache: compile at most once
-_native_reason = "not attempted"
-_native_warned = False
+
+def _bind_sweep(lib):
+    fn = lib.cp_sweep
+    ptr = ctypes.POINTER(ctypes.c_int64)
+    fn.argtypes = [ctypes.c_int64, ptr, ptr, ptr, ptr, ctypes.c_int64]
+    fn.restype = None
+    return fn
 
 
-def _compile_locked(lib_path):
-    """Compile the C sweep into *lib_path* (caller holds the lock).
-
-    Writes to a pid-unique tmp then publishes with ``os.replace``.
-    Returns None on success (or when another process already published
-    the library while we waited), else a failure reason string.
-    """
-    if os.path.exists(lib_path):
-        return None  # lost the race; winner already published
-    src_path = lib_path[:-3] + ".c"
-    with open(src_path, "w") as fh:
-        fh.write(_KERNEL_SOURCE)
-    tmp_path = f"{lib_path}.{os.getpid()}.tmp"
-    errors = []
-    for compiler in ("cc", "gcc", "clang"):
-        proc = subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", "-o",
-             tmp_path, src_path],
-            capture_output=True, timeout=60)
-        if proc.returncode == 0:
-            os.replace(tmp_path, lib_path)
-            return None
-        stderr = proc.stderr.decode(errors="replace").strip()
-        detail = stderr.splitlines()[-1] if stderr \
-            else f"exit {proc.returncode}"
-        errors.append(f"{compiler}: {detail}")
-    return "no working C compiler (" + "; ".join(errors) + ")"
-
-
-def _compile_native_kernel():
-    """Compile and load the C sweep.
-
-    Returns ``(fn, reason)`` where *fn* is the ctypes function or None
-    and *reason* states why (so a failed compile is never silent --
-    :func:`native_kernel_status` and the CLI surface it).
-    """
-    if np is None:
-        return None, "numpy unavailable"
-    if os.environ.get("REPRO_ENGINE_NO_NATIVE"):
-        return None, "disabled by REPRO_ENGINE_NO_NATIVE"
-    digest = hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]
-    uid = getattr(os, "getuid", lambda: 0)()
-    lib_path = os.path.join(
-        tempfile.gettempdir(), f"repro-cp-kernel-{digest}-{uid}.so")
-    try:
-        if not os.path.exists(lib_path):
-            # Advisory lock so concurrent processes/threads racing the
-            # first compile don't clobber each other's in-flight cc
-            # output; re-check under the lock -- the loser usually
-            # finds the winner's published .so and skips the compile.
-            with compile_lock(lib_path, "graph sweep"):
-                reason = _compile_locked(lib_path)
-            if reason is not None:
-                return None, reason
-        lib = ctypes.CDLL(lib_path)
-        fn = lib.cp_sweep
-        ptr = ctypes.POINTER(ctypes.c_int64)
-        fn.argtypes = [ctypes.c_int64, ptr, ptr, ptr, ptr, ctypes.c_int64]
-        fn.restype = None
-        return fn, f"loaded ({lib_path})"
-    except (OSError, subprocess.SubprocessError) as exc:
-        return None, f"compile/load failed: {exc}"
-
-
-def native_kernel():
-    """The process-wide compiled sweep function (or None)."""
-    global _native_fn, _native_reason
-    if _native_fn is _NATIVE_SENTINEL:
-        _native_fn, _native_reason = _compile_native_kernel()
-        if _native_fn is None:
-            obs.get_logger("engine").info(
-                "native kernel unavailable: %s", _native_reason)
-    return _native_fn
-
-
-def native_kernel_status():
-    """``(available, reason)`` for the C sweep kernel.
-
-    *reason* is ``"not attempted"`` until something first asks for the
-    kernel (the batched engine does so on construction).
-    """
-    if _native_fn is _NATIVE_SENTINEL:
-        return False, "not attempted"
-    return _native_fn is not None, _native_reason
-
-
-def native_fallback_warning() -> Optional[str]:
-    """A one-shot warning string when the C kernel *silently* failed.
-
-    Returns a message the first time it is called after the kernel was
-    attempted and failed for a reason other than the user explicitly
-    opting out via ``REPRO_ENGINE_NO_NATIVE``; None otherwise.  The CLI
-    prints it to stderr so "the C kernel silently failed to compile"
-    regressions are visible without --metrics.
-    """
-    global _native_warned
-    available, reason = native_kernel_status()
-    if (available or _native_warned or reason == "not attempted"
-            or os.environ.get("REPRO_ENGINE_NO_NATIVE")):
-        return None
-    _native_warned = True
-    return (f"warning: native C sweep kernel unavailable ({reason}); "
-            f"the batched engine is using the slower pure-Python "
-            f"fallback. Set REPRO_ENGINE_NO_NATIVE=1 to silence.")
-
-
-def _as_i64_ptr(arr):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+SWEEP_KERNEL = NativeKernel(
+    "graph sweep", _KERNEL_SOURCE, ("-O3",),
+    env_var="REPRO_ENGINE_NO_NATIVE", stem="repro-cp-kernel",
+    bind=_bind_sweep,
+    warning=("warning: native C sweep kernel unavailable ({reason}); "
+             "the batched engine is using the slower pure-Python "
+             "fallback. Set REPRO_ENGINE_NO_NATIVE=1 to silence."))
+#: The process-wide compiled sweep function (or None), its
+#: ``(available, reason)`` status, and the CLI's one-shot warning.
+native_kernel = SWEEP_KERNEL.load
+native_kernel_status = SWEEP_KERNEL.status
+native_fallback_warning = SWEEP_KERNEL.fallback_warning
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +319,9 @@ class BatchedEngine:
             if prefix is not None and v0 > 1:
                 dist[:v0] = prefix[:v0]
             dist[0] = seed
-            self._native(n, _as_i64_ptr(self._cs), _as_i64_ptr(self._src),
-                         _as_i64_ptr(np.ascontiguousarray(lat)),
-                         _as_i64_ptr(dist), v0)
+            self._native(n, i64_ptr(self._cs), i64_ptr(self._src),
+                         i64_ptr(np.ascontiguousarray(lat)),
+                         i64_ptr(dist), v0)
             return dist
         # optimized pure-Python fallback: one flat relaxation over the
         # destination-sorted edge list (no per-node range bookkeeping)
@@ -526,24 +431,19 @@ def apply_child_env(env: Optional[Dict[str, Optional[str]]],
                     seed_tag: str = "pool", seed_index: int = 0) -> None:
     """Apply a parent environment snapshot inside a worker process.
 
-    Re-arms the native-kernel decision (so a child honours a
-    ``REPRO_ENGINE_NO_NATIVE`` it did not inherit) and seeds
-    :mod:`random` with a deterministic derived seed.
+    Re-arms every native kernel's load decision (so a child honours a
+    ``REPRO_ENGINE_NO_NATIVE`` or ``REPRO_SIM_NO_NATIVE`` it did not
+    inherit) and seeds :mod:`random` with a deterministic derived seed.
     """
-    global _native_fn, _native_reason
     if env:
         for name, value in env.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-    # the compile-at-most-once caches must re-decide under the applied
+    # the compile-at-most-once kernels must re-decide under the applied
     # environment, not under whatever this process saw at import time
-    _native_fn = _NATIVE_SENTINEL
-    _native_reason = "not attempted"
-    from repro.uarch import fastcore
-
-    fastcore.reset_kernel_cache()
+    reset_all()
     random.seed(derive_seed(seed_tag, seed_index))
 
 

@@ -13,8 +13,8 @@ Layout on disk::
 
     <root>/<kind>/<key[:2]>/<key>.<ext>
 
-with ``kind`` one of ``sim`` (gzip JSON via :mod:`repro.uarch.persist`),
-``graph`` (``.npz`` edge arrays), ``meta`` (JSON: cycles + instruction
+with ``kind`` one of ``sim`` (``.npz`` event matrix), ``graph``
+(``.npz`` edge arrays), ``meta`` (JSON: cycles + instruction
 count, so a warm run can skip loading the full result), and ``cycles``
 (JSON: re-simulated cycle counts for :mod:`repro.analysis.multisim`).
 Writes go through a temporary file in the destination directory and an
@@ -58,14 +58,11 @@ except ImportError:  # pragma: no cover - numpy ships with the package
 
 import repro.obs as obs
 import repro.graph.builder
+import repro.uarch.events
 from repro.graph.model import DependenceGraph
 from repro.uarch.config import IdealConfig, MachineConfig
-from repro.uarch.events import (
-    EVENT_FIELDS,
-    EventColumns,
-    SimResult,
-)
-from repro.uarch.persist import FORMAT_VERSION, _static_to_dict
+from repro.uarch.events import EventColumns, SimResult
+from repro.uarch.persist import static_to_dict
 
 #: Environment variable supplying a default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -79,18 +76,12 @@ QUARANTINE_SUFFIX = ".bad"
 _EXT = {"sim": ".npz", "graph": ".npz", "meta": ".json",
         "cycles": ".json"}
 
-#: Schema of the sim artifact's on-disk layout.  Layout 1 (PR 3-7)
-#: stored one row-major ``(n, F)`` "events" array; layout 2 stores the
-#: field-major ``(F, n)`` "columns" matrix :class:`EventColumns` owns,
-#: so a warm load is a straight npz -> matrix handoff with no
-#: per-instruction rebuild.  The tag lives *inside* the artifact head,
-#: not in :func:`sim_key` -- both layouts describe the same simulation,
-#: so old caches keep hitting and are simply read through the compat
-#: path below instead of cold-starting.
-SIM_ARTIFACT_LAYOUT = 2
-
-#: InstEvents columns of the columnar sim artifact, in dataclass order.
-_EVENT_FIELDS = EVENT_FIELDS
+#: Version of the sim artifact's on-disk layout (a field-major
+#: ``(F, n)`` "columns" matrix plus a JSON head).  :func:`sim_key`
+#: digests it together with the event field names, so a layout change
+#: or a changed field set addresses fresh artifacts and the reader only
+#: ever sees the current layout.
+SIM_KEY_VERSION = 2
 
 
 def _digest(payload: Any) -> str:
@@ -114,7 +105,7 @@ def trace_fingerprint(trace) -> str:
         return cached
     header = {
         "name": trace.name,
-        "program": [_static_to_dict(s) for s in trace.program],
+        "program": [static_to_dict(s) for s in trace.program],
         "warm_l1": sorted(getattr(trace, "warm_l1_ranges", []) or []),
         "warm_l2": sorted(getattr(trace, "warm_l2_ranges", []) or []),
     }
@@ -158,7 +149,10 @@ def sim_key(trace, config: MachineConfig,
     """Cache key of one simulation: workload x machine x idealization."""
     return _digest({
         "kind": "sim",
-        "format": FORMAT_VERSION,
+        "version": SIM_KEY_VERSION,
+        # read through the module so a changed field set (even a
+        # monkeypatched one) always reaches the key
+        "fields": repro.uarch.events.EVENT_FIELDS,
         "trace": trace_fingerprint(trace),
         "config": config_fingerprint(config),
         "ideal": sorted(str(c) for c in ideal_categories),
@@ -223,15 +217,8 @@ class ArtifactCache:
     def disabled_cache(cls) -> "ArtifactCache":
         """A cache that is disabled even if the environment configures
         a directory (the ``--no-cache`` contract)."""
-        cache = cls.__new__(cls)
-        cache.root = None
-        cache.max_bytes = None
-        cache.hits = cache.misses = cache.stores = 0
-        cache.evictions = cache.quarantined = 0
-        cache._stats_lock = threading.Lock()
-        cache._write_locks = {}
-        cache._locks_guard = threading.Lock()
-        cache._bytes = None
+        cache = cls(root="", max_bytes=0)  # explicit: no env lookups
+        cache.root = cache.max_bytes = None
         return cache
 
     @property
@@ -437,20 +424,8 @@ class ArtifactCache:
         def loader(path: str) -> SimResult:
             with np.load(path) as data:
                 head = json.loads(bytes(bytearray(data["head"])).decode())
-                if "columns" in data:  # layout 2: field-major matrix
-                    mat = np.ascontiguousarray(data["columns"],
-                                               dtype=np.int64)
-                else:  # layout 1 (PR 3-7): row-major (n, F) events
-                    mat = np.ascontiguousarray(data["events"].T,
-                                               dtype=np.int64)
-            names = tuple(head["fields"])
-            if names == _EVENT_FIELDS:
-                columns = EventColumns(mat)
-            else:  # field set evolved since the artifact was written:
-                # map rows by name, default the missing fields
-                columns = EventColumns.from_field_rows(
-                    {name: mat[j] for j, name in enumerate(names)},
-                    mat.shape[1])
+                columns = EventColumns(np.ascontiguousarray(
+                    data["columns"], dtype=np.int64))
             ideal = IdealConfig.for_categories(head["ideal"]) \
                 if head["ideal"] else IdealConfig()
             return SimResult.from_columns(
@@ -472,9 +447,6 @@ class ArtifactCache:
             mat = np.ascontiguousarray(result.event_columns().matrix,
                                        dtype=np.int64)
             head = json.dumps({
-                "format": FORMAT_VERSION,
-                "layout": SIM_ARTIFACT_LAYOUT,
-                "fields": list(_EVENT_FIELDS),
                 "cycles": result.cycles,
                 "stats": dict(result.stats),
                 "ideal": list(result.ideal.active()) if result.ideal

@@ -106,6 +106,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        self._record()
         self.end_headers()
         self.wfile.write(body)
 
@@ -145,16 +146,17 @@ class _Handler(BaseHTTPRequestHandler):
         """Dispatch + record ``serve.request_ms{route,code}`` telemetry.
 
         ``self._route`` starts as the normalized route pattern
-        ``(other)`` and is refined by the dispatcher; ``self._status``
-        and ``self._resp_bytes`` are filled in by the send helpers, so
-        the finally clause always has the full label set even when a
-        handler raised after partially writing.
+        ``(other)`` and is refined by the dispatcher; the send helpers
+        fill in ``self._status`` and ``self._resp_bytes`` and record
+        the request before it goes out, so the finally clause only
+        records a handler that raised before sending.
         """
         server: "ReproServer" = self.server.owner  # type: ignore
         self._route = "(other)"
         self._status = 0
         self._resp_bytes = 0
-        t0 = time.perf_counter()
+        self._recorded = False
+        self._t0 = time.perf_counter()
         try:
             path = self.path.split("?", 1)[0].rstrip("/")
             if method == "GET":
@@ -162,9 +164,17 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._route_post(server, path)
         finally:
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            server.record_request(self._route, self._status,
-                                  elapsed_ms, self._resp_bytes)
+            self._record()
+
+    def _record(self) -> None:
+        """Fold this request into the telemetry, once: before the
+        response goes out, so the client's next scrape counts it."""
+        if self._recorded:
+            return
+        self._recorded = True
+        elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
+        self.server.owner.record_request(  # type: ignore
+            self._route, self._status, elapsed_ms, self._resp_bytes)
 
     # ---- GET routes ---------------------------------------------------
 
@@ -308,6 +318,7 @@ class _Handler(BaseHTTPRequestHandler):
                     self.send_response(304)
                     self.send_header("ETag", f'"{job.etag}"')
                     self.send_header("Content-Length", "0")
+                    self._record()
                     self.end_headers()
                     return
                 headers["ETag"] = f'"{job.etag}"'

@@ -87,10 +87,6 @@ EVENT_BOOL_FIELDS = frozenset(f.name for f in fields(InstEvents)
 _FIELD_ROW = {name: i for i, name in enumerate(EVENT_FIELDS)}
 _BOOL_ROWS = tuple(_FIELD_ROW[name] for name in EVENT_FIELDS
                    if name in EVENT_BOOL_FIELDS)
-_FIELD_DEFAULTS = {f.name: int(f.default)
-                   for f in fields(InstEvents)
-                   if f.default is not None and not isinstance(f.default, str)
-                   and f.name not in ("seq", "pc")}
 
 
 class EventColumns:
@@ -129,20 +125,6 @@ class EventColumns:
                          ev.miss_component, ev.l1d_miss, ev.l2d_miss,
                          ev.dtlb_miss, ev.pp_partner, ev.fu_contention,
                          ev.mispredicted, ev.store_bw_delay)
-        return cls(mat)
-
-    @classmethod
-    def from_field_rows(cls, rows: Dict[str, "np.ndarray"],
-                        n: int) -> "EventColumns":
-        """Assemble columns from per-field arrays, defaulting absent
-        fields -- the forward-compat path for artifacts written before a
-        field existed."""
-        mat = np.empty((len(EVENT_FIELDS), n), dtype=np.int64)
-        for row, name in enumerate(EVENT_FIELDS):
-            if name in rows:
-                mat[row, :] = rows[name]
-            else:
-                mat[row, :] = _FIELD_DEFAULTS.get(name, 0)
         return cls(mat)
 
     # -- shape ----------------------------------------------------------

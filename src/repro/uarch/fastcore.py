@@ -8,9 +8,9 @@ predictor is consulted exactly once per branch in trace order, so its
 decisions are independent of pipeline timing -- and the whole cycle
 loop (caches, TLBs, in-flight fill table, functional-unit slots, ready
 heaps, ROB and fetch-queue rings) runs inside one on-demand-compiled C
-kernel, mirroring the ``graph/engine.py`` playbook including its
-compile-with-fallback and environment opt-out (``REPRO_SIM_NO_NATIVE``)
-behaviour.
+kernel, loaded through :mod:`repro.native` like the graph sweep, with
+the same compile-with-fallback and environment opt-out
+(``REPRO_SIM_NO_NATIVE``) behaviour.
 
 The contract is *bit identity*: for every supported configuration the
 fast core produces field-for-field identical :class:`InstEvents`, the
@@ -35,10 +35,7 @@ Entry points:
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 import weakref
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,7 +48,7 @@ except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
 import repro.obs as obs
 from repro.isa.instructions import OpClass, Opcode
 from repro.isa.trace import Trace
-from repro.lockfile import compile_lock
+from repro.native import NativeKernel, i64_ptr as _ptr
 from repro.uarch.config import OPCLASS_TO_FU, FUKind, IdealConfig, MachineConfig
 from repro.uarch.core import _HUGE, SimulationError
 from repro.uarch.events import EVENT_FIELDS, EventColumns, SimResult
@@ -931,133 +928,30 @@ _BRANCH_KIND = {Opcode.BEQ: 0, Opcode.BNE: 0, Opcode.BLT: 0, Opcode.BGE: 0,
                 Opcode.J: 1, Opcode.CALL: 2, Opcode.RET: 3, Opcode.JR: 4}
 
 
-# ----------------------------------------------------------------------
-# Kernel compilation (compile-with-fallback, same shape as graph/engine)
-# ----------------------------------------------------------------------
-
-_NATIVE_SENTINEL = object()
-_native_fns = _NATIVE_SENTINEL  # module-level cache: compile at most once
-_native_reason = "not attempted"
-_native_warned = False
-
-
-def _compile_sim_locked(lib_path):
-    """Compile the C simulator into *lib_path* (caller holds the lock).
-
-    Writes to a pid-unique tmp then publishes with ``os.replace``.
-    Returns None on success (or when another process already published
-    the library while we waited), else a failure reason string.
-    """
-    if os.path.exists(lib_path):
-        return None  # lost the race; winner already published
-    src_path = lib_path[:-3] + ".c"
-    with open(src_path, "w") as fh:
-        fh.write(_SIM_KERNEL_SOURCE)
-    tmp_path = f"{lib_path}.{os.getpid()}.tmp"
-    errors = []
-    for compiler in ("cc", "gcc", "clang"):
-        proc = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o",
-             tmp_path, src_path],
-            capture_output=True, timeout=60)
-        if proc.returncode == 0:
-            os.replace(tmp_path, lib_path)
-            return None
-        stderr = proc.stderr.decode(errors="replace").strip()
-        detail = stderr.splitlines()[-1] if stderr \
-            else f"exit {proc.returncode}"
-        errors.append(f"{compiler}: {detail}")
-    return "no working C compiler (" + "; ".join(errors) + ")"
+def _bind_sim(lib):
+    ptr = ctypes.POINTER(ctypes.c_int64)
+    sim_fn = lib.fast_sim
+    sim_fn.argtypes = [ptr, ctypes.c_int64] + [ptr] * 10 + \
+        [ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr, ptr]
+    sim_fn.restype = ctypes.c_int64
+    predict_fn = lib.fast_predict
+    predict_fn.argtypes = [ctypes.c_int64] + [ptr] * 6
+    predict_fn.restype = ctypes.c_int64
+    return sim_fn, predict_fn
 
 
-def _compile_sim_kernel():
-    """Compile and load the C simulator kernel.
-
-    Returns ``((sim_fn, predict_fn), reason)`` where the pair is None
-    when unavailable and *reason* states why, so a failed compile is
-    never silent -- :func:`sim_native_kernel_status` and the CLI
-    surface it.
-    """
-    if np is None:
-        return None, "numpy unavailable"
-    if os.environ.get("REPRO_SIM_NO_NATIVE"):
-        return None, "disabled by REPRO_SIM_NO_NATIVE"
-    digest = hashlib.sha256(_SIM_KERNEL_SOURCE.encode()).hexdigest()[:16]
-    uid = getattr(os, "getuid", lambda: 0)()
-    lib_path = os.path.join(
-        tempfile.gettempdir(), f"repro-sim-kernel-{digest}-{uid}.so")
-    try:
-        if not os.path.exists(lib_path):
-            # Advisory lock: concurrent processes/threads racing the
-            # first compile serialize here instead of clobbering each
-            # other's in-flight cc output (see repro.lockfile).
-            with compile_lock(lib_path, "simulator"):
-                reason = _compile_sim_locked(lib_path)
-            if reason is not None:
-                return None, reason
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.POINTER(ctypes.c_int64)
-        sim_fn = lib.fast_sim
-        sim_fn.argtypes = [ptr, ctypes.c_int64] + [ptr] * 10 + \
-            [ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr, ptr]
-        sim_fn.restype = ctypes.c_int64
-        predict_fn = lib.fast_predict
-        predict_fn.argtypes = [ctypes.c_int64] + [ptr] * 6
-        predict_fn.restype = ctypes.c_int64
-        return (sim_fn, predict_fn), f"loaded ({lib_path})"
-    except (OSError, subprocess.SubprocessError) as exc:
-        return None, f"compile/load failed: {exc}"
-
-
-def sim_native_kernel():
-    """The process-wide compiled ``(sim, predict)`` pair (or None)."""
-    global _native_fns, _native_reason
-    if _native_fns is _NATIVE_SENTINEL:
-        _native_fns, _native_reason = _compile_sim_kernel()
-        if _native_fns is None:
-            obs.get_logger("fastcore").info(
-                "native sim kernel unavailable: %s", _native_reason)
-    return _native_fns
-
-
-def sim_native_kernel_status():
-    """``(available, reason)`` for the C simulator kernel.
-
-    *reason* is ``"not attempted"`` until something first asks for the
-    kernel (the fast engine does so on its first simulation).
-    """
-    if _native_fns is _NATIVE_SENTINEL:
-        return False, "not attempted"
-    return _native_fns is not None, _native_reason
-
-
-def sim_native_fallback_warning() -> Optional[str]:
-    """A one-shot warning string when the C sim kernel *silently* failed.
-
-    Returns a message the first time it is called after the kernel was
-    attempted and failed for a reason other than the user explicitly
-    opting out via ``REPRO_SIM_NO_NATIVE``; None otherwise.  The CLI
-    prints it to stderr, mirroring the graph engine's warning path.
-    """
-    global _native_warned
-    available, reason = sim_native_kernel_status()
-    if (available or _native_warned or reason == "not attempted"
-            or os.environ.get("REPRO_SIM_NO_NATIVE")):
-        return None
-    _native_warned = True
-    return (f"warning: native C simulator kernel unavailable ({reason}); "
-            f"the fast sim engine is using the reference core "
-            f"fallback. Set REPRO_SIM_NO_NATIVE=1 to silence.")
-
-
-def reset_kernel_cache() -> None:
-    """Re-arm the compile-at-most-once decision (pool children call this
-    via :func:`repro.graph.engine.apply_child_env` so a worker honours a
-    ``REPRO_SIM_NO_NATIVE`` it did not inherit)."""
-    global _native_fns, _native_reason, _native_warned
-    _native_fns = _NATIVE_SENTINEL
-    _native_reason = "not attempted"
-    _native_warned = False
+SIM_KERNEL = NativeKernel(
+    "simulator", _SIM_KERNEL_SOURCE, ("-O2",),
+    env_var="REPRO_SIM_NO_NATIVE", stem="repro-sim-kernel",
+    bind=_bind_sim,
+    warning=("warning: native C simulator kernel unavailable ({reason}); "
+             "the fast sim engine is using the reference core "
+             "fallback. Set REPRO_SIM_NO_NATIVE=1 to silence."))
+#: The process-wide compiled ``(sim, predict)`` pair (or None), its
+#: ``(available, reason)`` status, and the CLI's one-shot warning.
+sim_native_kernel = SIM_KERNEL.load
+sim_native_kernel_status = SIM_KERNEL.status
+sim_native_fallback_warning = SIM_KERNEL.fallback_warning
 
 
 # ----------------------------------------------------------------------
@@ -1247,10 +1141,6 @@ def _predictions(trace: Trace, cols: _Columns, cfg: MachineConfig,
     entry = (mispred, nb, mispredicts)
     per_trace[geom] = entry
     return entry
-
-
-def _ptr(arr):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
 
 # ----------------------------------------------------------------------

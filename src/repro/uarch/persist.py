@@ -23,15 +23,14 @@ from repro.isa.instructions import DynInst, Opcode, StaticInst
 from repro.isa.program import Program
 from repro.isa.trace import Trace
 from repro.uarch.config import IdealConfig, MachineConfig
-from repro.uarch.events import InstEvents, SimResult
+from repro.uarch.events import EVENT_FIELDS, InstEvents, SimResult
 
 #: File-format version; readers reject unknown majors.
 FORMAT_VERSION = 1
 
-_EVENT_FIELDS = [f.name for f in fields(InstEvents)]
 
-
-def _static_to_dict(inst: StaticInst) -> dict:
+def static_to_dict(inst: StaticInst) -> dict:
+    """JSON-ready fields of one static instruction."""
     return {
         "pc": inst.pc,
         "op": inst.opcode.name,
@@ -59,7 +58,7 @@ def result_to_dict(result: SimResult) -> dict:
         "config": {f.name: getattr(result.config, f.name)
                    for f in fields(MachineConfig)},
         "ideal": list(result.ideal.active()) if result.ideal else [],
-        "program": [_static_to_dict(inst) for inst in program],
+        "program": [static_to_dict(inst) for inst in program],
         "labels": program.labels,
         "insts": [
             {
@@ -73,10 +72,10 @@ def result_to_dict(result: SimResult) -> dict:
             for dyn in result.trace.insts
         ],
         "events": [
-            [getattr(ev, name) for name in _EVENT_FIELDS]
+            [getattr(ev, name) for name in EVENT_FIELDS]
             for ev in result.events
         ],
-        "event_fields": _EVENT_FIELDS,
+        "event_fields": list(EVENT_FIELDS),
     }
 
 

@@ -157,10 +157,10 @@ class TestVerbosityFlag:
 class TestNativeFallbackWarning:
     def test_cli_warns_once_on_silent_kernel_failure(self, run, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE_NO_NATIVE", raising=False)
-        monkeypatch.setattr(engine_mod, "_native_fn", None)
-        monkeypatch.setattr(engine_mod, "_native_reason",
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "fn", None)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "reason",
                             "compile/load failed: simulated")
-        monkeypatch.setattr(engine_mod, "_native_warned", False)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "warned", False)
         code, _, stderr = run("breakdown", "gzip", "--scale", "0.2",
                               "--engine", "batched")
         assert code == 0
@@ -174,10 +174,10 @@ class TestNativeFallbackWarning:
     def test_no_warning_when_kernel_loaded_or_disabled(self, run,
                                                        monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_NO_NATIVE", "1")
-        monkeypatch.setattr(engine_mod, "_native_fn", None)
-        monkeypatch.setattr(engine_mod, "_native_reason",
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "fn", None)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "reason",
                             "disabled by REPRO_ENGINE_NO_NATIVE")
-        monkeypatch.setattr(engine_mod, "_native_warned", False)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "warned", False)
         code, _, stderr = run("breakdown", "gzip", "--scale", "0.2",
                               "--engine", "batched")
         assert code == 0

@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.lockfile import CONTENTION_NOTE, compile_lock
+from repro.native import CONTENTION_NOTE, compile_lock
 from repro.obs.ledger.store import RunLedger
 from repro.pipeline.artifacts import QUARANTINE_SUFFIX, ArtifactCache
 from repro.serve.client import ServeClient

@@ -104,10 +104,10 @@ class TestNativeKernelStatus:
 
     def test_fallback_warning_fires_once_on_silent_failure(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE_NO_NATIVE", raising=False)
-        monkeypatch.setattr(engine_mod, "_native_fn", None)
-        monkeypatch.setattr(engine_mod, "_native_reason",
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "fn", None)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "reason",
                             "no working C compiler (cc: exit 127)")
-        monkeypatch.setattr(engine_mod, "_native_warned", False)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "warned", False)
         message = engine_mod.native_fallback_warning()
         assert message is not None
         assert "no working C compiler" in message
@@ -115,17 +115,18 @@ class TestNativeKernelStatus:
 
     def test_no_warning_when_user_opted_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_NO_NATIVE", "1")
-        monkeypatch.setattr(engine_mod, "_native_fn", None)
-        monkeypatch.setattr(engine_mod, "_native_reason",
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "fn", None)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "reason",
                             "disabled by REPRO_ENGINE_NO_NATIVE")
-        monkeypatch.setattr(engine_mod, "_native_warned", False)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "warned", False)
         assert engine_mod.native_fallback_warning() is None
 
     def test_no_warning_before_any_attempt(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE_NO_NATIVE", raising=False)
-        monkeypatch.setattr(engine_mod, "_native_fn",
-                            engine_mod._NATIVE_SENTINEL)
-        monkeypatch.setattr(engine_mod, "_native_warned", False)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "fn", None)
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "reason",
+                            "not attempted")
+        monkeypatch.setattr(engine_mod.SWEEP_KERNEL, "warned", False)
         assert engine_mod.native_fallback_warning() is None
 
 
@@ -143,10 +144,10 @@ class TestSimKernelStatus:
         from repro.uarch import fastcore
 
         monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
-        monkeypatch.setattr(fastcore, "_native_fns", None)
-        monkeypatch.setattr(fastcore, "_native_reason",
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "fn", None)
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "reason",
                             "no working C compiler (cc: exit 127)")
-        monkeypatch.setattr(fastcore, "_native_warned", False)
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "warned", False)
         message = fastcore.sim_native_fallback_warning()
         assert message == (
             "warning: native C simulator kernel unavailable "
@@ -159,19 +160,20 @@ class TestSimKernelStatus:
         from repro.uarch import fastcore
 
         monkeypatch.setenv("REPRO_SIM_NO_NATIVE", "1")
-        monkeypatch.setattr(fastcore, "_native_fns", None)
-        monkeypatch.setattr(fastcore, "_native_reason",
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "fn", None)
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "reason",
                             "disabled by REPRO_SIM_NO_NATIVE")
-        monkeypatch.setattr(fastcore, "_native_warned", False)
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "warned", False)
         assert fastcore.sim_native_fallback_warning() is None
 
     def test_no_warning_before_any_attempt(self, monkeypatch):
         from repro.uarch import fastcore
 
         monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
-        monkeypatch.setattr(fastcore, "_native_fns",
-                            fastcore._NATIVE_SENTINEL)
-        monkeypatch.setattr(fastcore, "_native_warned", False)
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "fn", None)
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "reason",
+                            "not attempted")
+        monkeypatch.setattr(fastcore.SIM_KERNEL, "warned", False)
         assert fastcore.sim_native_fallback_warning() is None
 
 

@@ -286,12 +286,17 @@ class TestWorkerEnvironment:
 
     def test_apply_child_env_rearms_the_native_decision(self, monkeypatch):
         import repro.graph.engine as engine
+        from repro.uarch import fastcore
 
-        monkeypatch.setattr(engine, "_native_fn", None)
-        monkeypatch.setattr(engine, "_native_reason", "stale")
+        for kernel in (engine.SWEEP_KERNEL, fastcore.SIM_KERNEL):
+            monkeypatch.setattr(kernel, "fn", None)
+            monkeypatch.setattr(kernel, "reason", "stale")
+            monkeypatch.setattr(kernel, "warned", True)
         engine.apply_child_env(None)
-        assert engine._native_fn is engine._NATIVE_SENTINEL
-        assert engine._native_reason == "not attempted"
+        for kernel in (engine.SWEEP_KERNEL, fastcore.SIM_KERNEL):
+            assert kernel.fn is None
+            assert kernel.reason == "not attempted"
+            assert kernel.warned is False
 
     def test_derived_seeds_are_deterministic_and_distinct(self):
         from repro.graph.engine import derive_seed

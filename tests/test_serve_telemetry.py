@@ -198,6 +198,46 @@ class TestMetricsEndpoint:
                                 '{code="200",route="/metrics"}')]
         assert line and float(line[0].rsplit(" ", 1)[1]) >= 1
 
+    def test_request_is_recorded_before_the_response_is_written(
+            self, served, monkeypatch):
+        """The scrape-ordering guarantee, made deterministic: a request
+        is recorded before any byte of its response reaches the socket,
+        so no client can see an answer its next scrape does not count."""
+        from repro.serve import server as server_mod
+
+        srv, client = served
+        log = []
+
+        class LoggingWriter:
+            def __init__(self, raw):
+                self._raw = raw
+
+            def write(self, data):
+                log.append(("write", bytes(data)))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        setup = server_mod._Handler.setup
+
+        def logging_setup(handler):
+            setup(handler)
+            handler.wfile = LoggingWriter(handler.wfile)
+
+        record = srv.record_request
+
+        def logging_record(route, code, elapsed_ms, resp_bytes):
+            log.append(("record", route))
+            record(route, code, elapsed_ms, resp_bytes)
+
+        monkeypatch.setattr(server_mod._Handler, "setup", logging_setup)
+        monkeypatch.setattr(srv, "record_request", logging_record)
+        assert client.health()
+        assert log[0] == ("record", "/healthz")
+        assert [kind for kind, _ in log[1:]] == ["write"] * (len(log) - 1)
+        assert log[-1] == ("write", b'{"ok": true}')
+
     def test_content_type_is_the_exposition_version(self, served):
         srv, _ = served
         with urllib.request.urlopen(srv.url + "/metrics",

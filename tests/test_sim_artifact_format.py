@@ -1,13 +1,12 @@
-"""The versioned sim artifact format (docs/PIPELINE.md, cache stage).
+"""The sim artifact format (docs/PIPELINE.md, cache stage).
 
-Layout 2 stores the field-major ``(F, n)`` event matrix verbatim, so a
-warm load is npz -> :class:`EventColumns` with no per-instruction
-rebuild.  The layout tag lives in the artifact head, **not** in
-``sim_key``: both layouts describe the same simulation, so caches
-written by the layout-1 era (PR 3-7) keep hitting and read through the
-transpose compat path.  This suite pins the round trip, the layout-1
-read path, field evolution, and the key stability that makes the
-compat path reachable at all.
+An artifact stores the field-major ``(F, n)`` event matrix verbatim, so
+a warm load is npz -> :class:`EventColumns` with no per-instruction
+rebuild.  There is one layout: ``sim_key`` digests the cache's
+``SIM_KEY_VERSION`` and the event field names, so a layout or field-set
+change addresses fresh artifacts instead of reading old ones through a
+compat path.  This suite pins the round trip, the zero-materialization
+load and that key discipline.
 """
 
 import json
@@ -18,10 +17,8 @@ np = pytest.importorskip("numpy")
 
 import repro.obs as obs
 from repro.pipeline import ArtifactCache, sim_key
-from repro.pipeline.artifacts import SIM_ARTIFACT_LAYOUT
 from repro.uarch import MachineConfig, simulate
 from repro.uarch.events import EVENT_FIELDS, LazyEvents
-from repro.uarch.persist import FORMAT_VERSION
 from repro.workloads import get_workload
 
 
@@ -30,25 +27,6 @@ def run():
     trace = get_workload("gzip", scale=0.5)
     config = MachineConfig(dl1_latency=4)
     return trace, config, simulate(trace, config)
-
-
-def _write_layout1(cache, key, result):
-    """Re-create a PR 3-7 era artifact: row-major (n, F) "events"
-    array, head without the layout tag."""
-    events = np.ascontiguousarray(result.event_columns().matrix.T)
-    head = json.dumps({
-        "format": FORMAT_VERSION,
-        "fields": list(EVENT_FIELDS),
-        "cycles": result.cycles,
-        "stats": dict(result.stats),
-        "ideal": [],
-    }, sort_keys=True, separators=(",", ":")).encode()
-    path = cache.path_for("sim", key)
-    import os
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as handle:
-        np.savez(handle, events=events,
-                 head=np.frombuffer(head, dtype=np.uint8))
 
 
 class TestLayout2RoundTrip:
@@ -63,15 +41,15 @@ class TestLayout2RoundTrip:
         assert loaded.stats == result.stats
         assert list(loaded.events) == list(result.events)
 
-    def test_artifact_head_carries_the_layout_tag(self, run, tmp_path):
+    def test_artifact_stores_the_field_major_matrix(self, run, tmp_path):
         trace, config, result = run
         cache = ArtifactCache(str(tmp_path))
         key = sim_key(trace, config)
         cache.put_sim(key, result)
         with np.load(cache.path_for("sim", key)) as data:
             head = json.loads(bytes(bytearray(data["head"])).decode())
-            assert head["layout"] == SIM_ARTIFACT_LAYOUT == 2
-            assert "columns" in data and "events" not in data
+            assert set(head) == {"cycles", "stats", "ideal"}
+            assert set(data.files) == {"columns", "head"}
             assert data["columns"].shape == (len(EVENT_FIELDS),
                                              len(result.events))
 
@@ -89,70 +67,20 @@ class TestLayout2RoundTrip:
         assert collector.counter("sim.events_materialized") == 0
 
 
-class TestLayout1Compat:
-    def test_old_artifact_reads_bit_identical(self, run, tmp_path):
-        trace, config, result = run
-        cache = ArtifactCache(str(tmp_path))
-        key = sim_key(trace, config)
-        _write_layout1(cache, key, result)
-        loaded = cache.get_sim(key, trace, config)
-        assert loaded is not None
-        assert loaded.cycles == result.cycles
-        assert loaded.stats == result.stats
-        assert list(loaded.events) == list(result.events)
-
-    def test_old_artifact_load_materializes_nothing(self, run, tmp_path):
-        """The transpose compat path is loop-free too."""
-        trace, config, result = run
-        cache = ArtifactCache(str(tmp_path))
-        key = sim_key(trace, config)
-        _write_layout1(cache, key, result)
-        collector = obs.enable()
-        try:
-            loaded = cache.get_sim(key, trace, config)
-        finally:
-            obs.disable()
-        assert isinstance(loaded.events, LazyEvents)
-        assert collector.counter("sim.events_materialized") == 0
-
-    def test_sim_key_ignores_the_layout(self, run, monkeypatch):
-        """Old caches only keep hitting because the key is layout-free:
-        it digests format=1, never SIM_ARTIFACT_LAYOUT."""
+class TestSimKey:
+    def test_sim_key_follows_the_event_fields(self, run, monkeypatch):
+        """A changed field set changes the key by itself, so no artifact
+        written under another field set is ever read."""
         trace, config, _ = run
-        assert FORMAT_VERSION == 1
         before = sim_key(trace, config)
-        monkeypatch.setattr("repro.pipeline.artifacts.SIM_ARTIFACT_LAYOUT",
-                            SIM_ARTIFACT_LAYOUT + 97)
+        monkeypatch.setattr("repro.uarch.events.EVENT_FIELDS",
+                            EVENT_FIELDS + ("new_field",))
+        assert sim_key(trace, config) != before
+        monkeypatch.undo()
         assert sim_key(trace, config) == before
 
-    def test_evolved_field_set_defaults_missing_rows(self, run, tmp_path):
-        """An artifact written before a field existed still loads, the
-        missing column taking the dataclass default."""
-        trace, config, result = run
-        cache = ArtifactCache(str(tmp_path))
-        key = sim_key(trace, config)
-        drop = "pp_partner"
-        keep = [f for f in EVENT_FIELDS if f != drop]
-        full = result.event_columns()
-        mat = np.ascontiguousarray(
-            np.stack([full.column(name) for name in keep]))
-        head = json.dumps({
-            "format": FORMAT_VERSION,
-            "layout": SIM_ARTIFACT_LAYOUT,
-            "fields": keep,
-            "cycles": result.cycles,
-            "stats": dict(result.stats),
-            "ideal": [],
-        }, sort_keys=True, separators=(",", ":")).encode()
-        import os
-        path = cache.path_for("sim", key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            np.savez(handle, columns=mat,
-                     head=np.frombuffer(head, dtype=np.uint8))
-        loaded = cache.get_sim(key, trace, config)
-        assert loaded.cycles == result.cycles
-        assert all(ev.pp_partner == -1 for ev in loaded.events)
-        for got, want in zip(loaded.events, result.events):
-            assert got.icache_delay == want.icache_delay
-            assert got.c == want.c
+    def test_sim_key_follows_the_cache_version(self, run, monkeypatch):
+        trace, config, _ = run
+        before = sim_key(trace, config)
+        monkeypatch.setattr("repro.pipeline.artifacts.SIM_KEY_VERSION", 97)
+        assert sim_key(trace, config) != before
