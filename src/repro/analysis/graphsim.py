@@ -16,6 +16,7 @@ import repro.obs as obs
 from repro.core.icost import Target
 from repro.graph.builder import GraphBuilder
 from repro.graph.cost import GraphCostAnalyzer
+from repro.graph.engine import DEFAULT_ENGINE
 from repro.isa.trace import Trace
 from repro.uarch.config import MachineConfig
 from repro.uarch.events import SimResult
@@ -25,7 +26,8 @@ class GraphCostProvider:
     """Cost provider backed by one simulation and its dependence graph.
 
     *engine* selects the cost engine (``"naive"``, ``"batched"``,
-    ``"parallel"`` or an instance; see :mod:`repro.graph.engine`).
+    ``"parallel"`` or an instance; ``None`` is the default, batched;
+    see :mod:`repro.graph.engine`).
     """
 
     def __init__(self, result: SimResult,
@@ -74,7 +76,7 @@ def analyze_trace(trace: Trace, config: Optional[MachineConfig] = None,
     behaviour.
     """
     with obs.span("analysis.analyze_trace",
-                  engine=getattr(engine, "name", engine) or "naive"):
+                  engine=getattr(engine, "name", engine) or DEFAULT_ENGINE):
         if session is None:
             from repro.session import AnalysisSession
 

@@ -168,22 +168,25 @@ def icost(provider: CostProvider,
     """
     normalised = frozenset(as_group(g) for g in groups)
     _check_disjoint(normalised)
-    memo: Dict[FrozenSet[Group], float] = {}
+    return _icost_memo(provider, normalised, {})
 
-    def rec(u: FrozenSet[Group]) -> float:
-        if not u:
-            return 0.0
-        if u in memo:
-            return memo[u]
-        union: FrozenSet[Target] = frozenset(chain.from_iterable(u))
-        value = provider.cost(union)
-        for v in _proper_subsets(u):
-            if v:
-                value -= rec(v)
-        memo[u] = value
-        return value
 
-    return rec(normalised)
+def _icost_memo(provider: CostProvider, u: FrozenSet[Group],
+                memo: Dict[FrozenSet[Group], float]) -> float:
+    # a module-level recursion, not a self-referencing closure: such a
+    # closure is a reference cycle that would keep *provider* (and its
+    # engine's arrays) alive until the cyclic garbage collector ran
+    if not u:
+        return 0.0
+    if u in memo:
+        return memo[u]
+    union: FrozenSet[Target] = frozenset(chain.from_iterable(u))
+    value = provider.cost(union)
+    for v in _proper_subsets(u):
+        if v:
+            value -= _icost_memo(provider, v, memo)
+    memo[u] = value
+    return value
 
 
 def _check_disjoint(groups: FrozenSet[Group]) -> None:

@@ -34,7 +34,7 @@ class GraphCostAnalyzer:
 
     *engine* selects how lengths are measured: an engine name
     (``"naive"``, ``"batched"``, ``"parallel"``), an engine factory, or
-    a ready instance; ``None`` keeps the naive reference oracle.
+    a ready instance; ``None`` picks the default (batched) engine.
     """
 
     def __init__(self, graph: DependenceGraph, engine=None) -> None:

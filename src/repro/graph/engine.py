@@ -11,20 +11,24 @@ enforces that):
 ``naive``
     The reference oracle: one pure-Python CSR sweep per measurement,
     exactly the code path the rest of the test suite has always pinned.
+    Only the differential tests and benchmarks select it, by name.
 
 ``batched``
-    A vectorized CSR kernel plus *incremental* recomputation.  The
-    sweep runs in a tiny C routine compiled on demand with the system
-    C compiler (loaded through :mod:`ctypes`); when no compiler is
-    available it falls back to an optimized flat pure-Python relaxation
-    that is still ~2.5x faster than the naive nested loop.  Because an
+    The default: a vectorized CSR kernel plus *incremental*
+    recomputation.  The sweep runs in a tiny C routine compiled on
+    demand with the system C compiler (loaded through :mod:`ctypes`);
+    when no compiler is available it falls back to an optimized flat
+    pure-Python relaxation that is still ~2.5x faster than the naive
+    nested loop.  Because an
     idealization only perturbs edges of the affected kinds/categories,
     each measurement is evaluated as a *delta* against the
     closest already-measured subset of its target set: the unchanged
     node prefix is copied from the parent state, and when only a few
     edges change (per-instruction :class:`EventSelection` queries) a
     worklist re-relaxes just the nodes downstream of the affected-edge
-    frontier instead of sweeping at all.
+    frontier instead of sweeping at all.  Measured states are retained
+    for that reuse within a byte budget, each as its dist vector plus
+    the sparse set of edges whose latency differs from the base.
 
 ``parallel``
     A :mod:`concurrent.futures` process-pool fan-out over the
@@ -65,6 +69,9 @@ Key = FrozenSet[Target]
 
 #: Engine names accepted by :func:`make_engine` and the CLI.
 ENGINE_NAMES = ("naive", "batched", "parallel")
+
+#: The engine :func:`make_engine` builds when none is named.
+DEFAULT_ENGINE = "batched"
 
 # ----------------------------------------------------------------------
 # The native kernel: one C function, compiled on demand, ctypes-loaded.
@@ -156,16 +163,25 @@ class NaiveEngine:
 
 
 class _State:
-    """One measured idealization: its dist vector, latencies and seed."""
+    """One measured idealization: its dist vector, seed and CP length,
+    with its latencies kept as a sparse delta against the base: the
+    sorted ids of the edges that differ (``idx``) and their values
+    (``val``)."""
 
-    __slots__ = ("key", "dist", "lat", "seed", "cp")
+    __slots__ = ("key", "dist", "idx", "val", "seed", "cp")
 
-    def __init__(self, key, dist, lat, seed, cp):
+    def __init__(self, key, dist, idx, val, seed, cp):
         self.key = key
         self.dist = dist
-        self.lat = lat
+        self.idx = idx
+        self.val = val
         self.seed = seed
         self.cp = cp
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this state retains."""
+        return self.dist.nbytes + self.idx.nbytes + self.val.nbytes
 
 
 class BatchedEngine:
@@ -177,8 +193,12 @@ class BatchedEngine:
         ``None`` (default) uses the compiled C sweep when available,
         ``False`` forces the pure-Python flat kernel (exercised by the
         differential tests so the fallback stays correct).
-    max_states:
-        How many measured dist vectors to retain for delta reuse.
+    max_state_bytes:
+        How many bytes of measured states to retain for delta reuse,
+        beyond the baseline (which is never evicted).  ``None`` derives
+        it from the graph: :data:`STATE_DISTS` dense dist vectors.  A
+        state keeps its dist vector and only the edges whose latency
+        differs from the base, so the bound is about that many states.
     incremental_max_edges:
         Delta sizes up to this many changed edges use the worklist
         re-relaxation; larger deltas use a prefix-reusing full sweep
@@ -191,10 +211,14 @@ class BatchedEngine:
 
     name = "batched"
 
+    #: The default state budget, in dense dist vectors (see
+    #: ``max_state_bytes``).
+    STATE_DISTS = 4
+
     def __init__(self, graph: DependenceGraph,
                  idealizer: Optional[GraphIdealizer] = None,
                  native: Optional[bool] = None,
-                 max_states: int = 24,
+                 max_state_bytes: Optional[int] = None,
                  incremental_max_edges: Optional[int] = None) -> None:
         if np is None:  # pragma: no cover - numpy ships with the package
             raise RuntimeError("the batched engine requires numpy")
@@ -208,8 +232,9 @@ class BatchedEngine:
             status = "forced pure-Python (native=False)"
         obs.gauge("engine.native_kernel", 1 if self._native is not None else 0)
         obs.note("engine.native_kernel.status", status)
-        self._max_states = max_states
         n = graph.num_nodes
+        self.max_state_bytes = (max_state_bytes if max_state_bytes is not None
+                                else self.STATE_DISTS * 8 * n)
         self._cs = np.ascontiguousarray(graph.column_data("csr"),
                                         dtype=np.int64)
         self._src = np.ascontiguousarray(graph.column_data("src"),
@@ -218,21 +243,24 @@ class BatchedEngine:
         self._base_lat = np.ascontiguousarray(graph.column_data("lat"),
                                               dtype=np.int64) \
             if graph.num_edges else np.zeros(0, dtype=np.int64)
-        self._dst = np.repeat(np.arange(n, dtype=np.int64),
-                              np.diff(self._cs)) if n else self._src[:0]
         # out-adjacency for the worklist and the pure-Python edge list,
         # both built lazily on first use
-        self._out_dst: Optional[List[int]] = None
-        self._out_start: Optional[List[int]] = None
+        self._out_dst: Optional["np.ndarray"] = None
+        self._out_start: Optional["np.ndarray"] = None
         self._dst_list: Optional[List[int]] = None
         self._incremental_max_edges = (
             incremental_max_edges if incremental_max_edges is not None else 48)
         self._worklist_budget = max(1024, n // 16)
+        # measured states in least-recently-used order; the baseline
+        # is kept apart from the budget and never evicted
         self._states: Dict[Key, _State] = {}
+        self._state_bytes = 0
         if n:
             base = self._sweep(self._base_lat, graph.seed_lat, None, 0)
-            self._remember(_State(frozenset(), base, self._base_lat,
-                                  graph.seed_lat, int(base.max())))
+            none = np.zeros(0, dtype=np.int64)
+            self._states[frozenset()] = _State(
+                frozenset(), base, none, none, graph.seed_lat,
+                int(base.max()))
 
     # -- measurement ---------------------------------------------------
 
@@ -254,13 +282,14 @@ class BatchedEngine:
             obs.observe("engine.batch_size", len(keys))
             # subset-reuse scheduling: measure smaller target sets first
             # so larger unions can be evaluated as one-group deltas
-            for key in sorted(set(keys), key=len):
-                self.cp_length(key)
-            return [self.cp_length(key) for key in keys]
+            lengths = {key: self.cp_length(key)
+                       for key in sorted(set(keys), key=len)}
+            return [lengths[key] for key in keys]
 
     def close(self) -> None:
         """Drop all cached measurement states."""
         self._states.clear()
+        self._state_bytes = 0
 
     # -- internals -----------------------------------------------------
 
@@ -268,7 +297,7 @@ class BatchedEngine:
         lat = self.idealizer.latencies_array(key)
         seed = self.idealizer.seed(key)
         parent = self._parent_of(key)
-        changed = np.nonzero(lat != parent.lat)[0]
+        changed = np.flatnonzero(lat != self._lat_of(parent))
         if changed.size == 0 and seed == parent.seed:
             obs.count("engine.batched.reuse")
             dist = parent.dist
@@ -278,25 +307,44 @@ class BatchedEngine:
             dist = self._relax_worklist(parent, lat, seed, changed)
         else:
             dist = self._relax_sweep(parent, lat, seed, changed)
-        state = _State(key, dist, lat, seed, int(dist.max()))
+        idx = np.flatnonzero(lat != self._base_lat)
+        state = _State(key, dist, idx, lat[idx], seed, int(dist.max()))
         self._remember(state)
         return state
 
+    def _lat_of(self, state: _State) -> "np.ndarray":
+        """*state*'s dense latencies, rebuilt from its sparse delta."""
+        lat = self._base_lat.copy()
+        lat[state.idx] = state.val
+        return lat
+
     def _parent_of(self, key: Key) -> _State:
-        """The measured proper subset of *key* with the largest overlap."""
+        """The measured proper subset of *key* with the largest overlap,
+        marked most recently used."""
         best = self._states[frozenset()]
         for state in self._states.values():
             if len(state.key) > len(best.key) and state.key <= key:
                 best = state
+        if best.key:
+            self._states[best.key] = self._states.pop(best.key)
         return best
 
     def _remember(self, state: _State) -> None:
-        if len(self._states) >= self._max_states:
-            for old in self._states:
-                if old:  # never evict the baseline
-                    del self._states[old]
-                    break
+        """Retain *state*, evicting the least recently used states to
+        stay within :attr:`max_state_bytes`; a state larger than the
+        whole budget is not retained."""
+        size = state.nbytes
+        if size > self.max_state_bytes:
+            return
+        while self._state_bytes + size > self.max_state_bytes:
+            old = next(key for key in self._states if key)
+            self._state_bytes -= self._states.pop(old).nbytes
         self._states[state.key] = state
+        self._state_bytes += size
+
+    def _dst_of(self, edges) -> "np.ndarray":
+        """The destination node of each edge id in *edges*."""
+        return np.searchsorted(self._cs, edges, side="right") - 1
 
     def _relax_sweep(self, parent: _State, lat, seed: int, changed) -> "np.ndarray":
         """Full forward sweep, reusing the unchanged node prefix.
@@ -305,7 +353,7 @@ class BatchedEngine:
         topologically ordered, so every node before the first changed
         edge's destination keeps its parent dist exactly.
         """
-        v0 = int(self._dst[changed[0]]) if changed.size else 1
+        v0 = int(self._dst_of(changed[0])) if changed.size else 1
         if seed != parent.seed:
             v0 = 1
         return self._sweep(lat, seed, parent.dist, v0)
@@ -326,7 +374,8 @@ class BatchedEngine:
         # optimized pure-Python fallback: one flat relaxation over the
         # destination-sorted edge list (no per-node range bookkeeping)
         if self._dst_list is None:
-            self._dst_list = self._dst.tolist()
+            self._dst_list = self._dst_of(
+                np.arange(len(self._src))).tolist()
         if prefix is not None and v0 > 1:
             dist = prefix[:v0].tolist() + [0] * (n - v0)
         else:
@@ -353,22 +402,23 @@ class BatchedEngine:
         partial work is discarded in favour of the prefix-reusing
         sweep.
         """
-        dist = parent.dist.tolist()
-        cs = self.graph.csr_start
-        src = self.graph.edge_src
+        dist = parent.dist.copy()
         if self._out_start is None:
             order = np.argsort(self._src, kind="stable")
-            self._out_dst = self._dst[order].tolist()
+            self._out_dst = self._dst_of(order)
             self._out_start = np.searchsorted(
-                self._src[order], np.arange(self.graph.num_nodes + 1)).tolist()
-        out_start, out_dst = self._out_start, self._out_dst
-        heap: List[int] = sorted({int(self._dst[e]) for e in changed.tolist()})
+                self._src[order], np.arange(self.graph.num_nodes + 1))
+        # python-int views of single entries: the arrays stay arrays, so
+        # the worklist materializes no per-edge python lists
+        cs, src, lat_at = self._cs.item, self._src.item, lat.item
+        out_start, out_dst = self._out_start.item, self._out_dst.item
+        dist_at = dist.item
+        heap: List[int] = sorted(set(self._dst_of(changed).tolist()))
         if seed != parent.seed:
             dist[0] = seed
-            for k in range(out_start[0], out_start[1]):
-                heappush(heap, out_dst[k])
+            for k in range(out_start(0), out_start(1)):
+                heappush(heap, out_dst(k))
         budget = self._worklist_budget
-        lat_at = lat.item  # python-int view of one latency entry
         while heap:
             v = heappop(heap)
             while heap and heap[0] == v:
@@ -378,15 +428,15 @@ class BatchedEngine:
                 obs.count("engine.batched.worklist.bail")
                 return self._relax_sweep(parent, lat, seed, changed)
             best = 0
-            for e in range(cs[v], cs[v + 1]):
-                t = dist[src[e]] + lat_at(e)
+            for e in range(cs(v), cs(v + 1)):
+                t = dist_at(src(e)) + lat_at(e)
                 if t > best:
                     best = t
-            if best != dist[v]:
+            if best != dist_at(v):
                 dist[v] = best
-                for k in range(out_start[v], out_start[v + 1]):
-                    heappush(heap, out_dst[k])
-        return np.asarray(dist, dtype=np.int64)
+                for k in range(out_start(v), out_start(v + 1)):
+                    heappush(heap, out_dst(k))
+        return dist
 
 
 # ----------------------------------------------------------------------
@@ -566,12 +616,12 @@ def make_engine(spec, graph: DependenceGraph,
                 idealizer: Optional[GraphIdealizer] = None):
     """Build (or pass through) a cost engine.
 
-    *spec* may be ``None`` (the naive oracle), an engine name from
+    *spec* may be ``None`` (:data:`DEFAULT_ENGINE`), an engine name from
     :data:`ENGINES`, an engine *class* / factory callable taking
     ``(graph, idealizer)``, or a ready engine instance.
     """
     if spec is None:
-        spec = "naive"
+        spec = DEFAULT_ENGINE
     if isinstance(spec, str):
         try:
             cls = ENGINES[spec]

@@ -54,18 +54,14 @@ class GraphIdealizer:
         self._val1 = np.asarray(col("val1"), dtype=np.int64)
         self._cat2 = np.asarray(col("cat2"), dtype=np.int16)
         self._val2 = np.asarray(col("val2"), dtype=np.int64)
-        # owning instruction of each edge, by destination and by source
-        # (edges are CSR-sorted by destination, so this is one repeat)
-        csr = np.asarray(col("csr"), dtype=np.int64)
-        self._dst_owner = np.repeat(
-            np.arange(graph.num_nodes, dtype=np.int64) // NODES_PER_INST,
-            np.diff(csr))
-        # per-category latency deltas and removal masks, built lazily:
-        # whole-category idealization then costs one subtract + one OR
+        # owning instruction of each edge, by destination and by
+        # source; built on the first per-instruction selection
+        self._dst_owner = self._src_owner = None
+        # per-category latency deltas (the edges a category shortens,
+        # and by how much) and removal masks, built lazily: whole-category
+        # idealization then costs one scatter-subtract + one OR
         self._cat_delta: dict = {}
         self._cat_removed: dict = {}
-        self._src_owner = np.asarray(col("src"),
-                                     dtype=np.int64) // NODES_PER_INST
 
     # ------------------------------------------------------------------
 
@@ -120,26 +116,48 @@ class GraphIdealizer:
             for kind in _REMOVAL_KINDS.get(cat, ()):
                 mask |= self._kind == kind
             self._cat_removed[ci] = mask
-        lat -= self._cat_delta[ci]
+        edges, deltas = self._cat_delta[ci]
+        lat[edges] -= deltas  # exact: a category lists each edge once
         removed |= mask
 
     def _build_category_deltas(self) -> None:
-        """Every category's per-edge latency delta in two scatter
-        writes over a ``(categories + 1, edges)`` matrix -- the spare
-        row swallows the untagged (-1) components -- instead of four
-        full-array passes per category."""
+        """Every category's nonzero per-edge latency deltas, as sorted
+        edge ids and values: both components of all edges sorted by
+        (category, edge) once, an edge tagged twice with one category
+        summed.  Sparse, because each category shortens only its own
+        events' edges."""
         n = len(self._lat)
         ncats = max(c.index for c in Category) + 1
-        deltas = np.zeros((ncats + 1, n), dtype=np.int64)
-        cols = np.arange(n, dtype=np.int64)
-        # (row, col) pairs are unique within each scatter: col is the
-        # edge index, so fancy-indexed assignment/accumulate is exact
-        deltas[np.where(self._cat1 < 0, ncats,
-                        self._cat1).astype(np.int64), cols] = self._val1
-        deltas[np.where(self._cat2 < 0, ncats,
-                        self._cat2).astype(np.int64), cols] += self._val2
+        cat = np.concatenate((self._cat1, self._cat2))
+        val = np.concatenate((self._val1, self._val2))
+        edge = np.tile(np.arange(n, dtype=np.int64), 2)
+        keep = (cat >= 0) & (val != 0)
+        cat, val, edge = cat[keep], val[keep], edge[keep]
+        order = np.lexsort((edge, cat))
+        cat, val, edge = cat[order], val[order], edge[order]
+        first = np.ones(len(edge), dtype=bool)
+        first[1:] = (edge[1:] != edge[:-1]) | (cat[1:] != cat[:-1])
+        starts = np.flatnonzero(first)
+        if len(starts):
+            val = np.add.reduceat(val, starts)
+        cat, edge = cat[starts], edge[starts]
+        bounds = np.searchsorted(cat, np.arange(ncats + 1))
         for ci in range(ncats):
-            self._cat_delta[ci] = deltas[ci]
+            lo, hi = bounds[ci], bounds[ci + 1]
+            self._cat_delta[ci] = (edge[lo:hi], val[lo:hi])
+
+    def _owners(self):
+        """Each edge's owning instruction, by destination and by source."""
+        if self._dst_owner is None:
+            col = self.graph.column_data
+            # edges are CSR-sorted by destination, so this is one repeat
+            csr = np.asarray(col("csr"), dtype=np.int64)
+            self._dst_owner = np.repeat(
+                np.arange(self.graph.num_nodes, dtype=np.int64)
+                // NODES_PER_INST, np.diff(csr))
+            self._src_owner = np.asarray(col("src"),
+                                         dtype=np.int64) // NODES_PER_INST
+        return self._dst_owner, self._src_owner
 
     def _apply_selection(self, sel: EventSelection, lat, removed) -> None:
         cat = sel.category
@@ -150,7 +168,8 @@ class GraphIdealizer:
             )
         ci = cat.index
         seqs = np.fromiter(sel.seqs, dtype=np.int64, count=len(sel.seqs))
-        in_dst = np.isin(self._dst_owner, seqs)
+        dst_owner, src_owner = self._owners()
+        in_dst = np.isin(dst_owner, seqs)
         lat -= self._val1 * ((self._cat1 == ci) & in_dst)
         lat -= self._val2 * ((self._cat2 == ci) & in_dst)
         if cat is Category.DMISS:
@@ -158,5 +177,5 @@ class GraphIdealizer:
             removed |= (self._kind == int(EdgeKind.PP)) & in_dst
         elif cat is Category.BMISP:
             # recovery edges hang off the *branch* (the edge source)
-            in_src = np.isin(self._src_owner, seqs)
+            in_src = np.isin(src_owner, seqs)
             removed |= (self._kind == int(EdgeKind.PD)) & in_src

@@ -8,9 +8,11 @@ the compiler flags, so changing either never loads a stale library.
 Compiles are serialized across processes by :func:`compile_lock`, which
 prints :data:`CONTENTION_NOTE` when it has to wait; the winner writes a
 pid-unique tmp file and publishes it with ``os.replace``, and a waiter
-re-checks under the lock and finds the published library.  A failure
-the user did not opt out of yields one stderr warning per process,
-which the CLI collects from :data:`KERNELS`.
+re-checks under the lock and finds the published library.  After a
+publish the winner prunes the stem's libraries of every other digest;
+a process whose library was pruned before it loaded compiles again.  A
+failure the user did not opt out of yields one stderr warning per
+process, which the CLI collects from :data:`KERNELS`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,8 +46,16 @@ NOT_ATTEMPTED = "not attempted"
 COMPILERS = ("cc", "gcc", "clang")
 SHARED_FLAGS = ("-shared", "-fPIC")
 
+#: How often a load compiles again when its library vanished before it
+#: was loaded (pruned by a concurrent compile of another digest).
+LOAD_ATTEMPTS = 3
+
 #: Every kernel declared in this process, in declaration order.
 KERNELS: List["NativeKernel"] = []
+
+
+def _uid() -> int:
+    return getattr(os, "getuid", lambda: 0)()
 
 
 def i64_ptr(arr: Any) -> Any:
@@ -117,9 +128,8 @@ class NativeKernel:
         """Where this kernel's library is (or will be) published."""
         blob = "\0".join((self.source,) + self.flags + SHARED_FLAGS)
         digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        uid = getattr(os, "getuid", lambda: 0)()
         return os.path.join(tempfile.gettempdir(),
-                            f"{self.stem}-{digest}-{uid}.so")
+                            f"{self.stem}-{digest}-{_uid()}.so")
 
     def load(self) -> Any:
         """The bound kernel, or None; decided once until :meth:`reset`."""
@@ -155,12 +165,21 @@ class NativeKernel:
             return None, f"disabled by {self.env_var}"
         lib_path = self.lib_path()
         try:
-            if not os.path.exists(lib_path):
-                with compile_lock(lib_path, self.label):
-                    reason = self._compile(lib_path)
-                if reason is not None:
-                    return None, reason
-            return self.bind(ctypes.CDLL(lib_path)), f"loaded ({lib_path})"
+            for _ in range(LOAD_ATTEMPTS):
+                if not os.path.exists(lib_path):
+                    with compile_lock(lib_path, self.label):
+                        reason = self._compile(lib_path)
+                    if reason is not None:
+                        return None, reason
+                try:
+                    lib = ctypes.CDLL(lib_path)
+                except OSError:
+                    if os.path.exists(lib_path):
+                        raise
+                    continue  # pruned by a compile of another digest
+                return self.bind(lib), f"loaded ({lib_path})"
+            return None, (f"compile/load failed: {lib_path} was removed "
+                          f"{LOAD_ATTEMPTS} times before it loaded")
         except (OSError, subprocess.SubprocessError) as exc:
             return None, f"compile/load failed: {exc}"
 
@@ -184,12 +203,26 @@ class NativeKernel:
                 continue
             if proc.returncode == 0:
                 os.replace(tmp_path, lib_path)
+                self._prune(lib_path)
                 return None
             stderr = proc.stderr.decode(errors="replace").strip()
             detail = stderr.splitlines()[-1] if stderr \
                 else f"exit {proc.returncode}"
             errors.append(f"{compiler}: {detail}")
         return "no working C compiler (" + "; ".join(errors) + ")"
+
+    def _prune(self, lib_path: str) -> None:
+        """Remove this stem's ``.so``/``.c``/``.so.lock`` files of every
+        digest but *lib_path*'s; a file already gone is no error."""
+        folder, own = os.path.split(lib_path[:-len(".so")])
+        pattern = re.compile(re.escape(self.stem) + r"-[0-9a-f]{16}-"
+                             + str(_uid()) + r"\.(so|c|so\.lock)")
+        for name in os.listdir(folder):
+            if pattern.fullmatch(name) and name.split(".")[0] != own:
+                try:
+                    os.remove(os.path.join(folder, name))
+                except FileNotFoundError:
+                    pass
 
 
 def reset_all() -> None:

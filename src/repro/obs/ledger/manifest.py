@@ -183,6 +183,7 @@ def build_manifest(command: str, session, result: Any,
     the manifest; the trace is never resolved just to fingerprint it.
     """
     from repro import __version__
+    from repro.graph.engine import DEFAULT_ENGINE
     from repro.pipeline.artifacts import trace_fingerprint
 
     run_cfg = json.loads(session.run.to_json())
@@ -195,7 +196,8 @@ def build_manifest(command: str, session, result: Any,
         "config": run_cfg,
         "config_digest": _config_digest(run_cfg),
         "trace_fingerprint": fingerprint,
-        "engine": run_cfg.get("engine"),
+        # the cost engine the run resolved to, not just the one named
+        "engine": run_cfg.get("engine") or DEFAULT_ENGINE,
         "jobs": run_cfg.get("jobs"),
         "windows": run_cfg.get("windows"),
         "approx": run_cfg.get("approx"),

@@ -50,7 +50,7 @@ from repro.graph.builder import (
     stitch_graph,
 )
 from repro.graph.cost import GraphCostAnalyzer
-from repro.graph.engine import apply_child_env, child_env
+from repro.graph.engine import DEFAULT_ENGINE, apply_child_env, child_env
 from repro.isa.trace import Trace
 from repro.pipeline.artifacts import ArtifactCache, graph_key, sim_key
 from repro.uarch.config import MachineConfig
@@ -99,7 +99,7 @@ class PipelineOptions:
     no_cache: bool = False
     #: opt into the bounded-error windowed analysis mode (see docs)
     approx: bool = False
-    #: cost engine for the analyze stage; ``None`` = batched
+    #: cost engine for the analyze stage; ``None`` = the default
     engine: Optional[str] = None
     #: simulator engine for the simulate stage; ``None`` consults
     #: ``$REPRO_SIM_ENGINE`` (then defaults to ``auto``)
@@ -218,8 +218,8 @@ def _run_exact(trace: Trace, cfg: MachineConfig, opts: PipelineOptions,
         cache.put_json("meta", skey, meta)
 
     stats.cache_state = _cache_state(cache, stats)
-    with obs.span("pipeline.analyze", engine=opts.engine or "batched"):
-        analyzer = GraphCostAnalyzer(graph, engine=opts.engine or "batched")
+    with obs.span("pipeline.analyze", engine=opts.engine or DEFAULT_ENGINE):
+        analyzer = GraphCostAnalyzer(graph, engine=opts.engine)
     return PipelineCostProvider(trace, cfg, graph, analyzer,
                                 int(meta["cycles"]), cache, skey, stats,
                                 result=result)
@@ -401,7 +401,7 @@ def _window_task(payload):
                   keys=len(keys)):
         graph = build_window_graph(result, start, end - start,
                                    model_taken_branch_breaks=breaks)
-        analyzer = GraphCostAnalyzer(graph, engine=engine or "batched")
+        analyzer = GraphCostAnalyzer(graph, engine=engine)
         analyzer.prefetch(keys)
         costs = [analyzer.cost(key) for key in keys]
         analyzer.close()
@@ -560,8 +560,7 @@ class WindowedCostProvider:
                 graph = build_window_graph(
                     self._result, start, end - start,
                     self._opts.model_taken_branch_breaks)
-                analyzer = GraphCostAnalyzer(
-                    graph, engine=self._opts.engine or "batched")
+                analyzer = GraphCostAnalyzer(graph, engine=self._opts.engine)
                 self._analyzers[w] = analyzer
                 _record_window(self.stats,
                                (time.perf_counter() - t0) * 1000.0)

@@ -122,9 +122,7 @@ class Analysis:
                 "--engine", choices=ENGINE_NAMES, default=None,
                 help="cost engine for graph measurements: the naive "
                      "reference sweep, the batched vectorized/"
-                     "incremental kernel, or the process-pool fan-out "
-                     "(default: naive, or batched when the pipeline is "
-                     "engaged)")
+                     "incremental kernel, or the process-pool fan-out")
         if self.pipeline_args is not None:
             group = parser.add_argument_group("pipeline (docs/PIPELINE.md)")
             group.add_argument(

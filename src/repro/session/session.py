@@ -345,10 +345,11 @@ class AnalysisSession:
                  trace: Optional[Trace] = None):
         """The cost provider behind breakdown/matrix/critical.
 
-        Plain runs keep the historical monolithic path (naive engine by
-        default); any pipeline knob in :attr:`run` routes through
-        :func:`repro.pipeline.run_pipeline` -- exact and bit-identical
-        unless ``approx`` opts into the windowed bounded-error mode.
+        Plain runs take the monolithic path; any pipeline knob in
+        :attr:`run` routes through :func:`repro.pipeline.run_pipeline`
+        -- exact and bit-identical unless ``approx`` opts into the
+        windowed bounded-error mode.  Both use the default (batched)
+        cost engine unless the run names one.
         """
         trace = trace if trace is not None else self.trace
         self.touch()
@@ -364,7 +365,7 @@ class AnalysisSession:
         from repro.analysis.graphsim import analyze_trace
 
         return analyze_trace(trace, config=self.machine,
-                             engine=self.run.engine or "naive",
+                             engine=self.run.engine,
                              session=self)
 
     def graph_provider(self, config: Optional[MachineConfig] = None,

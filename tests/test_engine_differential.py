@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from repro.core.categories import Category, EventSelection
 from repro.graph import GraphCostAnalyzer, build_graph
 from repro.graph.engine import (
+    DEFAULT_ENGINE,
     ENGINE_NAMES,
     BatchedEngine,
-    NaiveEngine,
     ParallelEngine,
     make_engine,
 )
@@ -120,6 +120,60 @@ class TestRandomPrograms:
             assert analyzer.cp_length(key) == oracle.cp_length(key)
 
 
+class TestStateMemory:
+    """The batched engine's retained states are sparse and byte-bounded."""
+
+    def test_dl1_breakdown_retains_lean_states_within_the_budget(self):
+        from repro.core import interaction_breakdown
+
+        graph = build_graph(simulate(get_workload("gcc", scale=0.5)))
+        engine = BatchedEngine(graph)
+        measured, retained = [], []
+        remember = engine._remember
+
+        def tracking(state):
+            remember(state)
+            measured.append(state)
+            retained.append(engine._state_bytes)
+
+        engine._remember = tracking
+        interaction_breakdown(GraphCostAnalyzer(graph, engine=engine),
+                              focus=Category.DL1, workload="gcc")
+        assert engine.max_state_bytes \
+            == BatchedEngine.STATE_DISTS * 8 * graph.num_nodes
+        assert len(measured) >= 8  # every single and pair was measured
+        assert max(retained) <= engine.max_state_bytes
+        assert len(engine._states) >= 3  # the baseline + at least two
+        delta_bytes = sum(s.idx.nbytes + s.val.nbytes for s in measured)
+        dense_lat_bytes = 8 * graph.num_edges
+        assert delta_bytes < 0.25 * len(measured) * dense_lat_bytes
+        # the idealizer's per-category deltas are sparse too
+        deltas = engine.idealizer._cat_delta.values()
+        assert sum(e.nbytes + v.nbytes for e, v in deltas) \
+            < 0.25 * len(deltas) * dense_lat_bytes
+
+    def test_a_breakdown_releases_its_engine_without_the_cyclic_gc(self):
+        """A daemon allocates too few python objects to run the cyclic
+        collector often, so an engine kept alive by a reference cycle
+        holds its arrays across requests."""
+        import gc
+        import weakref
+
+        from repro.analysis.graphsim import analyze_trace
+        from repro.core import interaction_breakdown
+
+        trace = random_program(seed=3, body_insts=20, iterations=6).trace()
+        gc.disable()
+        try:
+            provider = analyze_trace(trace)
+            engine = weakref.ref(provider.analyzer.engine)
+            interaction_breakdown(provider, focus=Category.DMISS)
+            del provider
+            assert engine() is None
+        finally:
+            gc.enable()
+
+
 class TestRegisteredWorkloads:
     """The whole suite, engine vs oracle (scaled down for CI speed)."""
 
@@ -141,7 +195,8 @@ class TestEngineMachinery:
             engine = make_engine(name, graph)
             assert engine.name == name
             engine.close()
-        assert isinstance(make_engine(None, graph), NaiveEngine)
+        assert DEFAULT_ENGINE == "batched"
+        assert isinstance(make_engine(None, graph), BatchedEngine)
         with pytest.raises(ValueError):
             make_engine("warp-drive", graph)
 
@@ -164,12 +219,17 @@ class TestEngineMachinery:
             analyzer.close()
 
     def test_state_eviction_stays_correct(self):
-        """A tiny state cache forces re-measurement; results must hold."""
+        """A tiny state budget forces re-measurement; results must hold."""
         graph = small_graph(2)
         oracle = GraphCostAnalyzer(graph, engine="naive")
-        engine = BatchedEngine(graph, max_states=2)
-        for key in POWER_SET + list(reversed(POWER_SET)):
-            assert engine.cp_length(key) == oracle.cp_length(key)
+        for dists in (0, 2):  # nothing retained; at most two states
+            engine = BatchedEngine(graph,
+                                   max_state_bytes=dists * 8 * graph.num_nodes)
+            for key in POWER_SET + list(reversed(POWER_SET)):
+                assert engine.cp_length(key) == oracle.cp_length(key)
+                assert engine._state_bytes <= engine.max_state_bytes
+            assert len(engine._states) <= dists + 1  # + the baseline
+            assert engine.cp_length(frozenset()) == oracle.base_length
 
     def test_prefetch_is_pure_optimization(self):
         graph = small_graph(3)

@@ -81,6 +81,16 @@ class TestManifest:
         assert manifest["perf"]["wall_ms"] == pytest.approx(250.0)
         assert manifest["result"]["type"] == "BreakdownResult"
 
+    def test_manifest_records_the_resolved_engine(self):
+        assert _breakdown_manifest()["run"]["engine"] == "batched"
+        session, result, collector = _run_analysis(
+            ["breakdown", "gzip", "--scale", "0.2", "--focus", "dl1",
+             "--engine", "naive"])
+        manifest = build_manifest("breakdown", session, result,
+                                  collector=collector)
+        assert manifest["run"]["engine"] == "naive"
+        assert manifest["counters"].get("engine.naive.sweep", 0) > 0
+
     def test_phase_timings_bucket_simulation_and_analysis(self):
         manifest = _breakdown_manifest()
         phases = manifest["phases"]

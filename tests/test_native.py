@@ -3,7 +3,8 @@
 Both C kernels -- the graph sweep and the simulator core -- load through
 :class:`NativeKernel`.  This suite pins what the loader owes both: the
 library name changes with the source *and* the compiler flags, a
-process compiles and loads at most once, a failed compile keeps its
+compile prunes the libraries of other digests, a process compiles and
+loads at most once, a failed compile keeps its
 reason and warns once, the registry re-arms and reports every kernel,
 and both fallback warnings keep their exact text.
 """
@@ -51,12 +52,43 @@ class TestLibraryPath:
 
     def test_one_source_two_flag_sets_compile_two_libraries(self, registry):
         o2, o3 = _probe(("-O2",)), _probe(("-O3",))
-        if o2.load() is None or o3.load() is None:
+        if o2.load() is None:
             pytest.skip(f"no C compiler here: {o2.status()[1]}")
         assert os.path.exists(o2.lib_path())
+        assert o3.load() is not None
         assert os.path.exists(o3.lib_path())
         assert o2.lib_path() != o3.lib_path()
         assert o2.fn() == o3.fn() == 42
+
+    def test_a_compile_prunes_the_other_digests(self, registry, tmp_path):
+        o2, o3 = _probe(("-O2",)), _probe(("-O3",))
+        other = tmp_path / "repro-other-kernel-0123456789abcdef-0.so"
+        other.write_bytes(b"")  # another stem is left alone
+        if o2.load() is None:
+            pytest.skip(f"no C compiler here: {o2.status()[1]}")
+        o3.load()
+        own = os.path.basename(o3.lib_path())[:-len(".so")]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [other.name, own + ".so", own + ".c", own + ".so.lock"])
+        assert o2.fn() == 42  # a loaded library outlives its file
+
+    def test_a_library_pruned_before_it_loads_is_compiled_again(
+            self, registry, monkeypatch):
+        kernel = _probe()
+        real_cdll, calls = native.ctypes.CDLL, []
+
+        def cdll(path):
+            calls.append(path)
+            if len(calls) == 1:  # a concurrent compile prunes it first
+                os.remove(path)
+            return real_cdll(path)
+
+        monkeypatch.setattr(native.ctypes, "CDLL", cdll)
+        if kernel.load() is None and not calls:
+            pytest.skip(f"no C compiler here: {kernel.status()[1]}")
+        assert kernel.fn() == 42
+        assert calls == [kernel.lib_path()] * 2
+        assert kernel.status()[1] == f"loaded ({kernel.lib_path()})"
 
     def test_stems_name_the_library_files(self):
         base = os.path.basename

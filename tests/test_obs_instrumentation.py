@@ -5,6 +5,8 @@ public contract the metrics table, the trace files and future perf
 PRs read.
 """
 
+import re
+
 import pytest
 
 from repro import obs
@@ -88,6 +90,16 @@ class TestEngineCounters:
         provider.cost(frozenset({Category.DL1}))
         obs.disable()
         assert c.counter("engine.naive.sweep") >= 2  # baseline + dl1
+
+    def test_default_breakdown_runs_the_batched_engine(self, capsys):
+        from repro.cli import main
+
+        assert main(["breakdown", "gzip", "--scale", "0.2", "--focus",
+                     "dl1", "--metrics", "--no-ledger"]) == 0
+        counters = dict(re.findall(r"^(engine\.\S+) +(\d+)$",
+                                   capsys.readouterr().out, re.M))
+        assert any(name.startswith("engine.batched.") for name in counters)
+        assert "engine.naive.sweep" not in counters
 
     def test_forced_pure_python_status_note(self, miss_graph):
         c = obs.enable()
