@@ -18,41 +18,22 @@ Quickstart::
     print(breakdown.as_dict())
 """
 
-from repro.core import (
-    BASE_CATEGORIES,
-    Category,
-    EventSelection,
-    Interaction,
-    classify_interaction,
-    icost,
-    icost_pair,
-    interaction_breakdown,
-    render_breakdown_table,
-    render_stacked_bar,
-    traditional_breakdown,
-)
-from repro.uarch import IdealConfig, MachineConfig, simulate
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BASE_CATEGORIES",
-    "Category",
-    "EventSelection",
-    "Interaction",
-    "classify_interaction",
-    "icost",
-    "icost_pair",
-    "interaction_breakdown",
-    "traditional_breakdown",
-    "render_breakdown_table",
-    "render_stacked_bar",
-    "IdealConfig",
-    "MachineConfig",
-    "simulate",
-    "quick_breakdown",
-    "__version__",
-]
+# the re-exports load on first use, so ``import repro`` (and every
+# ``repro.*`` import, which runs this file first) stays numpy-free
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    **{name: "repro.core" for name in (
+        "BASE_CATEGORIES", "Category", "EventSelection", "Interaction",
+        "classify_interaction", "icost", "icost_pair",
+        "interaction_breakdown", "traditional_breakdown",
+        "render_breakdown_table", "render_stacked_bar")},
+    **{name: "repro.uarch" for name in (
+        "IdealConfig", "MachineConfig", "simulate")},
+})
+__all__ += ["quick_breakdown", "__version__"]
 
 
 def quick_breakdown(trace, focus=None, config=None):
@@ -64,6 +45,7 @@ def quick_breakdown(trace, focus=None, config=None):
     :class:`repro.session.AnalysisSession`, so a configured artifact
     cache (``$REPRO_CACHE_DIR``) applies here too.
     """
+    from repro.core import Category, interaction_breakdown
     from repro.session import AnalysisSession
 
     if isinstance(focus, str):

@@ -16,10 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.categories import BASE_CATEGORIES, Category
 from repro.core.icost import CachingCostProvider, icost_pair
+from repro.core.serialize import register_serializable
 from repro.uarch.config import MachineConfig
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 
+@register_serializable
 @dataclass(frozen=True)
 class Characterization:
     """The icost fingerprint of one workload."""

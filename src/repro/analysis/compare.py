@@ -14,10 +14,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.breakdown import Breakdown, interaction_breakdown
 from repro.core.categories import Category
+from repro.core.serialize import register_serializable
 from repro.isa.trace import Trace
 from repro.uarch.config import MachineConfig
 
 
+@register_serializable
 @dataclass
 class BreakdownDelta:
     """Row-by-row difference of two breakdowns of the same workload."""

@@ -14,8 +14,10 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.categories import BASE_CATEGORIES, Category
 from repro.core.icost import CachingCostProvider, CostProvider, icost_pair
+from repro.core.serialize import register_serializable
 
 
+@register_serializable
 @dataclass
 class InteractionMatrix:
     """Pairwise icosts (percent of execution time) plus the base costs."""

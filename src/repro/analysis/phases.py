@@ -15,10 +15,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.adaptive import slice_trace
 from repro.core.categories import BASE_CATEGORIES, Category
+from repro.core.serialize import register_serializable
 from repro.isa.trace import Trace
 from repro.uarch.config import MachineConfig
 
 
+@register_serializable
 @dataclass
 class SegmentProfile:
     """One segment's cost vector (percent of segment time)."""

@@ -1,5 +1,5 @@
-"""The ``bench`` and ``ledger`` subcommands, registered like every
-other analysis.
+"""The ``bench``, ``ledger`` and ``selfprofile`` subcommands, registered
+like every other analysis.
 
 ``repro bench`` runs one declared suite (:mod:`repro.bench.suites`)
 and records a ``BENCH_<suite>.json`` summary per invocation; because
@@ -12,6 +12,9 @@ benchmark history diffable.
 ``--ledger-dir``), with the regression thresholds of
 :class:`repro.obs.ledger.Thresholds` exposed as flags.  It never
 writes to the ledger itself (``ledger_record = False``).
+
+``repro selfprofile`` runs the paper's icost analysis on the tool's
+own pipeline (:mod:`repro.obs.selfprof`).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.bench.suites import SUITES
+from repro.core.categories import Category
 from repro.core.serialize import SerializableResult, register_serializable
 from repro.obs.selfprof import SelfProfile
 from repro.session.registry import Analysis, Arg, register
@@ -98,7 +102,6 @@ class BenchAnalysis(Analysis):
     """``bench``: run a declared suite, record ``BENCH_<suite>.json``."""
 
     name = "bench"
-    help = "run a benchmark suite (paper tables/figures, speedups)"
     workload_arg = False
     result_type = BenchResult
 
@@ -252,7 +255,6 @@ class LedgerAnalysis(Analysis):
     """``ledger``: inspect the run ledger and detect regressions."""
 
     name = "ledger"
-    help = "run-ledger history: list/show/diff/report"
     workload_arg = False
     ledger_record = False  # reading history must not rewrite it
     result_type = LedgerResult
@@ -399,3 +401,99 @@ class LedgerAnalysis(Analysis):
                args: argparse.Namespace) -> str:
         """The action's pre-rendered text."""
         return result.text
+
+
+# ----------------------------------------------------------------------
+# selfprofile
+# ----------------------------------------------------------------------
+
+@register_serializable
+@dataclass
+class SelfProfileResult(SerializableResult):
+    """The tool's own icost profile (docs/OBSERVABILITY.md)."""
+
+    workload: str
+    jobs: int
+    windows: int
+    profile: SelfProfile
+
+    def perf_metrics(self) -> Dict[str, float]:
+        """Machine-speed-dependent numbers for the ledger's perf section."""
+        return {"selfprof.total_ms": self.profile.total_ms,
+                "selfprof.wall_ms": self.profile.wall_ms,
+                "selfprof.coverage": self.profile.coverage}
+
+    def selfprofile_payload(self) -> Dict[str, object]:
+        """The ledger manifest's ``selfprofile`` section."""
+        return self.profile.payload()
+
+
+@register
+class SelfProfileAnalysis(Analysis):
+    """``selfprofile``: the paper's icost analysis on the tool itself.
+
+    Runs the full pipeline (simulate -> build -> analyze) on a workload
+    while observing it with :mod:`repro.obs`, lowers the recorded span
+    forest into the same :class:`repro.graph.DependenceGraph` machinery
+    every other analysis uses, and reports cost/icost of the tool's own
+    phases -- including the serial/parallel/independent classification
+    of every phase pair.
+    """
+
+    name = "selfprofile"
+    pipeline_args = "windows"
+    extra_args = (
+        Arg("--pool-threshold", type=int, default=0, dest="pool_threshold",
+            metavar="N",
+            help="min instructions/job before --jobs spawns a pool "
+                 "(default 0: always pool, so the pool being profiled "
+                 "actually runs)"),
+    )
+    result_type = SelfProfileResult
+
+    def run(self, session: AnalysisSession,
+            args: argparse.Namespace) -> SelfProfileResult:
+        """Observe one pipeline run, then self-profile the spans."""
+        import time
+
+        from repro import obs
+        from repro.core import interaction_breakdown
+        from repro.obs.selfprof import self_profile
+        from repro.pipeline import PipelineOptions, run_pipeline
+
+        # resolve (and possibly generate) the trace before observation
+        # starts: workload synthesis is setup, not pipeline
+        trace = session.trace
+        previous = obs.collector()
+        own = obs.enable(obs.Collector())
+        try:
+            t0 = time.perf_counter()
+            with obs.span("selfprof.run", workload=args.workload):
+                provider = run_pipeline(
+                    trace, config=session.machine,
+                    options=PipelineOptions(
+                        jobs=args.jobs, windows=args.windows,
+                        cache_dir=args.cache_dir, no_cache=args.no_cache,
+                        engine="batched", sim_engine=session.run.sim_engine,
+                        pool_threshold=args.pool_threshold))
+                interaction_breakdown(provider, focus=Category.DL1,
+                                      workload=args.workload)
+                provider.close()
+            wall_ms = (time.perf_counter() - t0) * 1e3
+        finally:
+            obs.disable()
+            if previous is not None:
+                obs.enable(previous)
+                previous.absorb(own.export_spans())
+        profile = self_profile(own, wall_ms=wall_ms)
+        return SelfProfileResult(workload=args.workload, jobs=args.jobs,
+                                 windows=args.windows, profile=profile)
+
+    def render(self, result: SelfProfileResult,
+               args: argparse.Namespace) -> str:
+        """The self-profile tables (costs, then pairwise interactions)."""
+        from repro.obs.selfprof import render_self_profile
+
+        head = (f"{result.workload}: self-profile of the pipeline "
+                f"(--jobs {result.jobs} --windows {result.windows})")
+        return head + "\n" + render_self_profile(result.profile)

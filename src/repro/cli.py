@@ -37,10 +37,9 @@ from typing import List, Optional
 import repro.obs as obs
 
 
-def _obs_flags_parser() -> argparse.ArgumentParser:
-    """The global observability flags, attached to every subcommand."""
-    obs_flags = argparse.ArgumentParser(add_help=False)
-    group = obs_flags.add_argument_group("observability")
+def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+    """Attach the global observability flags to one subcommand."""
+    group = parser.add_argument_group("observability")
     group.add_argument("--trace", metavar="FILE", default=None,
                        help="write a Chrome trace-event JSON of the "
                             "analysis pipeline (load in ui.perfetto.dev)")
@@ -57,7 +56,27 @@ def _obs_flags_parser() -> argparse.ArgumentParser:
     group.add_argument("--no-ledger", action="store_true",
                        help="do not record this run even if "
                             "$REPRO_LEDGER_DIR is set")
-    return obs_flags
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers that configure a subcommand only once it is chosen.
+
+    Listing the subcommands (``--help``, a usage error) needs only the
+    registry's declarations.  The chosen subcommand's implementing
+    module is imported, and its arguments attached, just before
+    argparse parses them, so a run loads no other analysis's code.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sub = self._name_parser_map.get(values[0])
+        if sub is not None and sub.get_default("analysis") is None:
+            from repro.session.registry import get_analysis
+
+            analysis = get_analysis(values[0])
+            _add_obs_flags(sub)
+            analysis.configure(sub)
+            sub.set_defaults(analysis=analysis)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _ledger_active(args: argparse.Namespace) -> bool:
@@ -70,9 +89,14 @@ def _ledger_active(args: argparse.Namespace) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse command tree, generated from the analysis registry."""
+    """The argparse command tree, generated from the analysis registry.
+
+    Every declared subcommand is listed; only the one a parse selects
+    is configured (see :class:`_Subcommands`), so building the parser
+    imports no analysis implementation.
+    """
     from repro import __version__
-    from repro.session import all_analyses
+    from repro.session.registry import DECLARED
 
     parser = argparse.ArgumentParser(
         prog="repro-icost",
@@ -81,13 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
 
-    obs_flags = _obs_flags_parser()
-    sub = parser.add_subparsers(dest="command", required=True)
-    for analysis in all_analyses():
-        p = sub.add_parser(analysis.name, parents=[obs_flags],
-                           help=analysis.help)
-        analysis.configure(p)
-        p.set_defaults(analysis=analysis)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                action=_Subcommands)
+    for declaration in DECLARED.values():
+        sub.add_parser(declaration.name, help=declaration.help)
     return parser
 
 

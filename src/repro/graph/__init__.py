@@ -7,43 +7,20 @@ are computed by idealizing edges and re-measuring the critical path --
 the efficient alternative to the 2^n idealized simulations.
 """
 
-from repro.graph.model import NodeKind, EdgeKind, DependenceGraph
-from repro.graph.builder import GraphBuilder, build_graph
-from repro.graph.critical_path import longest_path, critical_path_edges, edge_kind_profile
-from repro.graph.cost import GraphCostAnalyzer
-from repro.graph.engine import (
-    ENGINE_NAMES,
-    BatchedEngine,
-    NaiveEngine,
-    ParallelEngine,
-    make_engine,
-)
-from repro.graph.slack import (
-    edge_slacks,
-    instruction_cost,
-    instruction_icost,
-    instruction_slack,
-    top_critical_instructions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NodeKind",
-    "EdgeKind",
-    "DependenceGraph",
-    "GraphBuilder",
-    "build_graph",
-    "longest_path",
-    "critical_path_edges",
-    "edge_kind_profile",
-    "GraphCostAnalyzer",
-    "ENGINE_NAMES",
-    "NaiveEngine",
-    "BatchedEngine",
-    "ParallelEngine",
-    "make_engine",
-    "edge_slacks",
-    "instruction_cost",
-    "instruction_icost",
-    "instruction_slack",
-    "top_critical_instructions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    **{name: "repro.graph.model" for name in (
+        "NodeKind", "EdgeKind", "DependenceGraph")},
+    **{name: "repro.graph.builder" for name in (
+        "GraphBuilder", "build_graph")},
+    **{name: "repro.graph.critical_path" for name in (
+        "longest_path", "critical_path_edges", "edge_kind_profile")},
+    "GraphCostAnalyzer": "repro.graph.cost",
+    **{name: "repro.graph.engine" for name in (
+        "ENGINE_NAMES", "BatchedEngine", "NaiveEngine", "ParallelEngine",
+        "make_engine")},
+    **{name: "repro.graph.slack" for name in (
+        "edge_slacks", "instruction_cost", "instruction_icost",
+        "instruction_slack", "top_critical_instructions")},
+})

@@ -451,9 +451,8 @@ _worker_engine: Optional[BatchedEngine] = None
 #: these variables after startup, so every pool in this repository
 #: captures them explicitly at submission time and re-applies them in
 #: the worker initializer.
-CHILD_ENV_VARS = ("REPRO_ENGINE_NO_NATIVE", "REPRO_ENGINE",
-                  "REPRO_CACHE_DIR", "REPRO_SIM_ENGINE",
-                  "REPRO_SIM_NO_NATIVE")
+CHILD_ENV_VARS = ("REPRO_ENGINE_NO_NATIVE", "REPRO_CACHE_DIR",
+                  "REPRO_SIM_ENGINE", "REPRO_SIM_NO_NATIVE")
 
 
 def derive_seed(tag: str, index: int = 0) -> int:

@@ -15,37 +15,14 @@ call/return stack.  This package provides:
 - :mod:`repro.isa.trace` -- the ``Trace`` container plus summary stats.
 """
 
-from repro.isa.instructions import (
-    OpClass,
-    Opcode,
-    StaticInst,
-    DynInst,
-    INT_REG_COUNT,
-    FP_REG_COUNT,
-    TOTAL_REG_COUNT,
-    REG_ZERO,
-    REG_LINK,
-    fp_reg,
-)
-from repro.isa.program import Program, ProgramBuilder
-from repro.isa.executor import Executor, ExecutionLimitExceeded
-from repro.isa.trace import Trace, TraceStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OpClass",
-    "Opcode",
-    "StaticInst",
-    "DynInst",
-    "INT_REG_COUNT",
-    "FP_REG_COUNT",
-    "TOTAL_REG_COUNT",
-    "REG_ZERO",
-    "REG_LINK",
-    "fp_reg",
-    "Program",
-    "ProgramBuilder",
-    "Executor",
-    "ExecutionLimitExceeded",
-    "Trace",
-    "TraceStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    **{name: "repro.isa.instructions" for name in (
+        "OpClass", "Opcode", "StaticInst", "DynInst", "INT_REG_COUNT",
+        "FP_REG_COUNT", "TOTAL_REG_COUNT", "REG_ZERO", "REG_LINK", "fp_reg")},
+    **{name: "repro.isa.program" for name in ("Program", "ProgramBuilder")},
+    **{name: "repro.isa.executor" for name in (
+        "Executor", "ExecutionLimitExceeded")},
+    **{name: "repro.isa.trace" for name in ("Trace", "TraceStats")},
+})

@@ -90,7 +90,14 @@ class Trace:
     steady-state-residency declarations (byte ranges) that the
     simulator pre-installs before timing; see
     :class:`repro.workloads.kernels.MemoryImage` for the rationale.
+
+    ``identity`` is a tuple that determines the trace's content, when
+    one is known (a suite trace's ``(workload, scale, seed, generator
+    version)``); the artifact cache keys such a trace by it instead of
+    hashing its instructions.
     """
+
+    identity: Optional[tuple] = None
 
     def __init__(self, program: Program, insts: List[DynInst],
                  warm_l1_ranges: Tuple = (), warm_l2_ranges: Tuple = ()) -> None:

@@ -16,56 +16,16 @@ or cache efficiency regress *between* runs?  Three pieces:
 See ``docs/OBSERVABILITY.md`` ("Run ledger & benchmarking").
 """
 
-from repro.obs.ledger.manifest import (
-    MANIFEST_SCHEMA,
-    VOLATILE_SECTIONS,
-    build_manifest,
-    host_info,
-    phase_timings,
-    result_metrics,
-    stable_view,
-)
-from repro.obs.ledger.report import (
-    Finding,
-    LedgerDiff,
-    Thresholds,
-    diff_manifests,
-    render_dashboard_html,
-    render_diff_table,
-    render_html_report,
-)
-from repro.obs.ledger.store import (
-    INDEX_FILENAME,
-    LEDGER_DIR_ENV,
-    LEDGER_FILENAME,
-    LedgerError,
-    RunLedger,
-    open_ledger,
-    run_summary,
-    validate_manifest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MANIFEST_SCHEMA",
-    "VOLATILE_SECTIONS",
-    "build_manifest",
-    "host_info",
-    "phase_timings",
-    "result_metrics",
-    "stable_view",
-    "Finding",
-    "LedgerDiff",
-    "Thresholds",
-    "diff_manifests",
-    "render_dashboard_html",
-    "render_diff_table",
-    "render_html_report",
-    "INDEX_FILENAME",
-    "LEDGER_DIR_ENV",
-    "LEDGER_FILENAME",
-    "LedgerError",
-    "RunLedger",
-    "open_ledger",
-    "run_summary",
-    "validate_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    **{name: "repro.obs.ledger.manifest" for name in (
+        "MANIFEST_SCHEMA", "VOLATILE_SECTIONS", "build_manifest",
+        "host_info", "phase_timings", "result_metrics", "stable_view")},
+    **{name: "repro.obs.ledger.report" for name in (
+        "Finding", "LedgerDiff", "Thresholds", "diff_manifests",
+        "render_dashboard_html", "render_diff_table", "render_html_report")},
+    **{name: "repro.obs.ledger.store" for name in (
+        "INDEX_FILENAME", "LEDGER_DIR_ENV", "LEDGER_FILENAME", "LedgerError",
+        "RunLedger", "open_ledger", "run_summary", "validate_manifest")},
+})

@@ -180,7 +180,11 @@ def build_manifest(command: str, session, result: Any,
 
     *session* supplies the :class:`~repro.session.RunConfig` and (when
     it was resolved during the run) the trace whose fingerprint anchors
-    the manifest; the trace is never resolved just to fingerprint it.
+    the manifest; the trace is never resolved just to fingerprint it,
+    and a suite trace's fingerprint is its identity, so recording a run
+    never reads a trace either.  ``perf.trace_source`` says where the
+    run's suite trace came from (see
+    :attr:`repro.session.AnalysisSession.trace_source`).
     """
     from repro import __version__
     from repro.graph.engine import DEFAULT_ENGINE
@@ -232,6 +236,9 @@ def build_manifest(command: str, session, result: Any,
             "digest": _result_digest(result),
         },
     }
+    trace_source = getattr(session, "trace_source", None)
+    if trace_source is not None:
+        manifest["perf"]["trace_source"] = trace_source
     if selfprofile:
         manifest["selfprofile"] = selfprofile
     return manifest

@@ -130,9 +130,12 @@ def diff_manifests(before: Dict[str, Any], after: Dict[str, Any],
             metric=name, before=a_metrics.get(name), after=b_metrics.get(name),
             delta=0.0, threshold="present in one run only", verdict="info"))
 
-    # throughput: speedup-named perf metrics gate on the ratio
+    # throughput: speedup-named perf metrics gate on the ratio (labels
+    # such as ``trace_source`` are not numbers and are not compared)
     a_perf, b_perf = before.get("perf", {}), after.get("perf", {})
     for name in sorted(set(a_perf) & set(b_perf)):
+        if isinstance(a_perf[name], str) or isinstance(b_perf[name], str):
+            continue
         b, a = float(a_perf[name]), float(b_perf[name])
         if "speedup" in name and b > 0:
             ratio = a / b

@@ -1,22 +1,36 @@
 """Content-addressed on-disk artifact cache for the analysis pipeline.
 
-Artifacts are addressed purely by the content of what produced them:
-the key of a cached ``SimResult`` is a digest of the dynamic trace and
-the full :class:`MachineConfig`; the key of a cached graph additionally
+Artifacts are addressed by the inputs that produced them: the key of a
+cached ``SimResult`` is a digest of the trace's fingerprint and the
+full :class:`MachineConfig`; the key of a cached graph additionally
 covers the builder options and :data:`GRAPH_MODEL_VERSION`.  Equal
 inputs therefore always hit, and *any* change to a config field, the
 workload spec, or the graph model changes the key -- stale artifacts
 can never be returned, and invalidation is automatic (old entries are
 simply never addressed again).
 
+A trace's fingerprint (:func:`trace_fingerprint`) is its
+``identity`` when it has one: every suite trace the workload registry
+hands out is keyed by ``(workload, scale, seed,
+TRACE_GENERATOR_VERSION)``, so a session whose graph and meta artifacts
+are cached derives its keys without generating, loading or hashing a
+single instruction.  An ad hoc trace (``for_trace``,
+``random_program``, ``fuzz_program``) has no identity and is keyed by
+a digest of its content.  Identity keys are only as safe as the
+version: bump :data:`repro.workloads.registry.TRACE_GENERATOR_VERSION`
+whenever a golden trace digest changes on purpose.
+
 Layout on disk::
 
     <root>/<kind>/<key[:2]>/<key>.<ext>
 
-with ``kind`` one of ``sim`` (``.npz`` event matrix), ``graph``
-(``.npz`` edge arrays), ``meta`` (JSON: cycles + instruction
-count, so a warm run can skip loading the full result), and ``cycles``
-(JSON: re-simulated cycle counts for :mod:`repro.analysis.multisim`).
+with ``kind`` one of ``trace`` (``.npz``: a suite trace's
+per-instruction facts and a JSON head with the program and warm
+ranges; keyed by :func:`trace_key` and written when a trace is
+generated), ``sim`` (``.npz`` event matrix), ``graph`` (``.npz`` edge
+arrays), ``meta`` (JSON: cycles + instruction count, so a warm run can
+skip loading the full result), and ``cycles`` (JSON: re-simulated cycle
+counts for :mod:`repro.analysis.multisim`).
 Writes go through a temporary file in the destination directory and an
 atomic ``os.replace``, so concurrent runs sharing one cache directory
 can only ever observe complete artifacts.
@@ -60,6 +74,9 @@ import repro.obs as obs
 import repro.graph.builder
 import repro.uarch.events
 from repro.graph.model import DependenceGraph
+from repro.isa.instructions import DynInst, Opcode, StaticInst
+from repro.isa.program import Program
+from repro.isa.trace import Trace
 from repro.uarch.config import IdealConfig, MachineConfig
 from repro.uarch.events import EventColumns, SimResult
 from repro.uarch.persist import static_to_dict
@@ -73,7 +90,7 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 #: Suffix quarantined (unreadable) artifacts are renamed to.
 QUARANTINE_SUFFIX = ".bad"
 
-_EXT = {"sim": ".npz", "graph": ".npz", "meta": ".json",
+_EXT = {"trace": ".npz", "sim": ".npz", "graph": ".npz", "meta": ".json",
         "cycles": ".json"}
 
 #: Version of the sim artifact's on-disk layout (a field-major
@@ -84,6 +101,13 @@ _EXT = {"sim": ".npz", "graph": ".npz", "meta": ".json",
 SIM_KEY_VERSION = 2
 
 
+#: Version of the trace artifact's on-disk layout, digested by
+#: :func:`trace_key`.  The artifact holds only what the generator
+#: produces (no graph-model product such as the InstColumns block), so
+#: a graph-model change never needs it bumped; a layout change does.
+TRACE_KEY_VERSION = 1
+
+
 def _digest(payload: Any) -> str:
     """sha256 hex digest of *payload* rendered as canonical JSON."""
     blob = json.dumps(payload, sort_keys=True,
@@ -92,14 +116,20 @@ def _digest(payload: Any) -> str:
 
 
 def trace_fingerprint(trace) -> str:
-    """Content digest of a dynamic trace (the workload spec).
+    """Digest of a dynamic trace: its identity, or else its content.
 
-    Covers the static program (opcodes, operands, immediates, branch
-    targets) and every dynamic fact graph construction consumes:
-    producers, memory producer, branch outcome, memory address, and the
-    trace's warming annotations.  Memoized on the trace object -- the
-    pipeline fingerprints the same trace at several stages.
+    A suite trace carries an ``identity`` -- ``(workload, scale, seed,
+    generator version)`` -- and is keyed by that alone, without reading
+    its instructions.  Any other trace is keyed by its content: the
+    static program (opcodes, operands, immediates, branch targets) and
+    every dynamic fact graph construction consumes -- producers, memory
+    producer, branch outcome, memory address, and the trace's warming
+    annotations -- memoized on the trace object, since the pipeline
+    fingerprints the same trace at several stages.
     """
+    identity = getattr(trace, "identity", None)
+    if identity is not None:
+        return _digest({"kind": "trace", "identity": list(identity)})
     cached = getattr(trace, "_repro_fingerprint", None)
     if cached is not None:
         return cached
@@ -136,6 +166,12 @@ def trace_fingerprint(trace) -> str:
     except AttributeError:  # pragma: no cover - slotted trace stand-ins
         pass
     return digest
+
+
+def trace_key(identity: tuple) -> str:
+    """Cache key of the stored suite trace of *identity*."""
+    return _digest({"kind": "trace", "version": TRACE_KEY_VERSION,
+                    "identity": list(identity)})
 
 
 def config_fingerprint(config: MachineConfig) -> str:
@@ -397,6 +433,93 @@ class ArtifactCache:
         if evicted:
             obs.count("cache.evictions", evicted)
         obs.gauge("cache.bytes", total)
+
+    # -- suite traces ----------------------------------------------------
+
+    def get_trace(self, key: str) -> Optional[Trace]:
+        """The trace stored under *key* (see :func:`trace_key`), or
+        None."""
+        if np is None or not self.enabled:
+            return None
+
+        def loader(path: str) -> Trace:
+            with np.load(path) as data:
+                head = json.loads(bytes(bytearray(data["head"])).decode())
+                rows = data["dyn"].tolist()
+                mem_producers = data["mem_producer"].tolist()
+                producers = data["producers"].tolist()
+            opcodes = Opcode.__members__  # a dict: Opcode[...] is slow
+            statics = [StaticInst(pc, opcodes[op], dst, tuple(srcs), imm,
+                                  target, label)
+                       for pc, op, dst, srcs, imm, target, label
+                       in head["program"]]
+            at_pc = {s.pc: s for s in statics}
+            insts = []
+            at = 0
+            for seq, ((pc, next_pc, addr, flags, nsrc), mem_producer) \
+                    in enumerate(zip(rows, mem_producers)):
+                # DynInst's fields in order: seq, static, next_pc, taken,
+                # mem_addr, src_producers, mem_producer
+                insts.append(DynInst(
+                    seq, at_pc[pc], next_pc, bool(flags & 1),
+                    addr if flags & 2 else None,
+                    tuple(producers[at:at + nsrc]), mem_producer))
+                at += nsrc
+            if at != len(producers) or len(insts) != len(mem_producers):
+                raise ValueError("trace artifact arrays disagree in length")
+            return Trace(Program(statics, head["labels"], name=head["name"]),
+                         insts,
+                         tuple(tuple(r) for r in head["warm_l1"]),
+                         tuple(tuple(r) for r in head["warm_l2"]))
+
+        return self._load("trace", key, loader)
+
+    def put_trace(self, key: str, trace: Trace) -> None:
+        """Store *trace* under *key* (see :func:`trace_key`).
+
+        Per instruction: the PC, next PC, memory address,
+        flags (taken, has an address) and producer count as one
+        ``uint64`` matrix (addresses span the full 64 bits), the memory
+        producer, and the flattened register producers; plus a JSON
+        head with the program (one ``[pc, opcode, dst, srcs, imm,
+        target, label]`` row per instruction) and warm ranges.
+        """
+        if np is None or not self.enabled:
+            return
+
+        def writer(tmp: str) -> None:
+            program, insts = trace.program, trace.insts
+            # filled straight from the instructions: no per-row python
+            # objects outlive the pass (a daemon keeps freed memory)
+            dyn = np.fromiter(
+                (v for d in insts for v in (
+                    d.static.pc, d.next_pc, d.mem_addr or 0,
+                    d.taken | (d.mem_addr is not None) << 1,
+                    len(d.src_producers))),
+                dtype=np.uint64, count=5 * len(insts)).reshape(-1, 5)
+            mem_producers = np.fromiter(
+                (d.mem_producer for d in insts), dtype=np.int64,
+                count=len(insts))
+            producers = np.fromiter(
+                (j for d in insts for j in d.src_producers),
+                dtype=np.int64)
+            # one positional row per static instruction: encoding a
+            # dict per row costs ~3x as much on large programs
+            head = json.dumps({
+                "name": program.name,
+                "labels": program.labels,
+                "program": [[s.pc, s.opcode.name, s.dst, s.srcs, s.imm,
+                             s.target, s.label] for s in program],
+                "warm_l1": trace.warm_l1_ranges,
+                "warm_l2": trace.warm_l2_ranges,
+            }, separators=(",", ":")).encode()
+            with open(tmp, "wb") as handle:
+                np.savez(handle,
+                         head=np.frombuffer(head, dtype=np.uint8),
+                         dyn=dyn, mem_producer=mem_producers,
+                         producers=producers)
+
+        self._store("trace", key, writer)
 
     # -- simulation results --------------------------------------------
     #

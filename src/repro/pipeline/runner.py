@@ -160,6 +160,11 @@ def run_pipeline(trace: Trace, config: Optional[MachineConfig] = None,
     layer passes its own, so concurrent sessions and their pipelines
     share one in-process instance with one set of write locks); by
     default one is opened from the options.
+
+    A suite trace (:class:`~repro.workloads.registry.SuiteTrace`) is
+    keyed by its identity; exact mode reads its instructions only on a
+    miss (or when the provider's ``result`` is asked for), so a warm
+    run never reads them.
     """
     opts = options or PipelineOptions()
     cfg = config or MachineConfig()

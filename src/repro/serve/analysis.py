@@ -58,7 +58,6 @@ class ServeAnalysis(Analysis):
     """``serve``: the registry over HTTP/JSON (docs/SERVING.md)."""
 
     name = "serve"
-    help = "serve the analysis registry over HTTP/JSON (daemon)"
     workload_arg = False
     ledger_record = False  # infrastructure run, not an analysis result
     wants_collector = True  # traces + /metrics without extra flags

@@ -16,37 +16,20 @@ Quickstart::
     provider = session.provider()          # graph cost provider
     cycles = session.cycles()              # cached baseline cycles
 
-Importing this package also populates the registry (the
-``repro.session.analyses`` import below), so ``all_analyses()`` is
-complete as soon as ``repro.session`` is imported.
+Importing this package loads none of it: each name below is imported on
+first use, and the registry (:mod:`repro.session.registry`) declares
+every analysis by name, help and implementing module, importing an
+implementation only when its analysis is looked up.
 """
 
-from repro.session.config import RunConfig, machine_with_overrides
-from repro.session.lifecycle import SessionManager
-from repro.session.registry import (
-    REGISTRY,
-    Analysis,
-    Arg,
-    all_analyses,
-    get_analysis,
-    register,
-)
-from repro.session.session import AnalysisSession
+from repro._lazy import lazy_exports
 
-# populate the registry with the built-in analyses (+ bench/serve/ledger)
-import repro.session.analyses as _analyses  # noqa: E402,F401  (registration side effect)
-import repro.bench.analyses as _bench_analyses  # noqa: E402,F401  (registration side effect)
-import repro.serve.analysis as _serve_analysis  # noqa: E402,F401  (registration side effect)
-
-__all__ = [
-    "AnalysisSession",
-    "SessionManager",
-    "RunConfig",
-    "machine_with_overrides",
-    "Analysis",
-    "Arg",
-    "REGISTRY",
-    "register",
-    "get_analysis",
-    "all_analyses",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnalysisSession": "repro.session.session",
+    "SessionManager": "repro.session.lifecycle",
+    "RunConfig": "repro.session.config",
+    "machine_with_overrides": "repro.session.config",
+    **{name: "repro.session.registry" for name in (
+        "Analysis", "Arg", "REGISTRY", "register", "get_analysis",
+        "all_analyses")},
+})

@@ -12,29 +12,28 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.analysis.characterize import Characterization
-from repro.analysis.compare import BreakdownDelta
-from repro.analysis.matrix import InteractionMatrix
-from repro.analysis.phases import SegmentProfile
 from repro.core.breakdown import Breakdown, BreakdownEntry
 from repro.core.categories import BASE_CATEGORIES, Category, EventSelection
 from repro.core.serialize import SerializableResult, register_serializable
-from repro.obs.selfprof import SelfProfile
 from repro.session.config import machine_with_overrides
 from repro.session.registry import Analysis, Arg, register
 from repro.session.session import AnalysisSession
 
-# component types the results below embed
+if TYPE_CHECKING:  # imported by the analyses that produce them
+    from repro.analysis.characterize import Characterization
+    from repro.analysis.compare import BreakdownDelta
+    from repro.analysis.matrix import InteractionMatrix
+    from repro.analysis.phases import SegmentProfile
+
+# component types the results below embed (the analysis-specific ones,
+# such as Characterization, register where they are defined, so this
+# module need not import them)
 register_serializable(Category)
 register_serializable(EventSelection)
 register_serializable(Breakdown)
 register_serializable(BreakdownEntry)
-register_serializable(BreakdownDelta)
-register_serializable(InteractionMatrix)
-register_serializable(SegmentProfile)
-register_serializable(Characterization)
 
 _FOCUS_CHOICES = [c.value for c in BASE_CATEGORIES]
 
@@ -62,7 +61,6 @@ class WorkloadsAnalysis(Analysis):
     """``workloads``: list the synthetic suite with descriptions."""
 
     name = "workloads"
-    help = "list the synthetic suite"
     workload_arg = False
     result_type = WorkloadsResult
 
@@ -98,7 +96,6 @@ class BreakdownAnalysis(Analysis):
     """``breakdown``: interaction-cost breakdown of one workload."""
 
     name = "breakdown"
-    help = "interaction-cost breakdown"
     engine_arg = True
     pipeline_args = "approx"
     extra_args = (
@@ -171,7 +168,6 @@ class CharacterizeAnalysis(Analysis):
     """``characterize``: icost fingerprint across the suite."""
 
     name = "characterize"
-    help = "icost fingerprint of the suite"
     workload_arg = False
     extra_args = (
         Arg("--workloads", metavar="NAMES",
@@ -227,7 +223,6 @@ class ProfileAnalysis(Analysis):
     """``profile``: shotgun-profile a workload and compare to the graph."""
 
     name = "profile"
-    help = "shotgun-profile and compare"
     engine_arg = True
     extra_args = (
         Arg("--focus", choices=_FOCUS_CHOICES),
@@ -288,7 +283,6 @@ class MatrixAnalysis(Analysis):
     """``matrix``: the full pairwise interaction-cost matrix."""
 
     name = "matrix"
-    help = "pairwise interaction-cost matrix"
     engine_arg = True
     pipeline_args = "approx"
     result_type = MatrixResult
@@ -334,7 +328,6 @@ class ReportAnalysis(Analysis):
     """``report``: write a self-contained HTML analysis report."""
 
     name = "report"
-    help = "self-contained HTML analysis report"
     extra_args = (
         Arg("--focus", choices=_FOCUS_CHOICES),
         Arg("-o", "--output", default="report.html"),
@@ -379,7 +372,6 @@ class SensitivityAnalysis(Analysis):
     """``sensitivity``: the Figure 3 window-size sweep."""
 
     name = "sensitivity"
-    help = "window-size sweep (Figure 3)"
     # --windows here means *machine* window sizes (the Figure 3 sweep
     # axis), so the pipeline sharding flag is omitted
     pipeline_args = "plain"
@@ -439,7 +431,6 @@ class PhasesAnalysis(Analysis):
     """``phases``: per-segment cost vectors and phase-change detection."""
 
     name = "phases"
-    help = "segment cost vectors + phase changes"
     extra_args = (
         Arg("--segment", type=int, default=500,
             help="instructions per segment (default 500)"),
@@ -505,7 +496,6 @@ class CriticalAnalysis(Analysis):
     """``critical``: costliest instructions + critical-path profile."""
 
     name = "critical"
-    help = "costliest instructions + CP profile"
     engine_arg = True
     pipeline_args = "windows"
     extra_args = (Arg("--top", type=int, default=10),)
@@ -569,7 +559,6 @@ class CompareAnalysis(Analysis):
     """``compare``: diff the breakdowns of two machine configurations."""
 
     name = "compare"
-    help = "diff breakdowns across two machine configs"
     extra_args = (
         Arg("--after", action="append", metavar="KEY=VALUE",
             help="MachineConfig override(s) defining the 'after' "
@@ -615,7 +604,6 @@ class MultiSimAnalysis(Analysis):
     """``multisim``: the exact re-simulation breakdown (Section 3)."""
 
     name = "multisim"
-    help = "ground-truth re-simulation breakdown"
     pipeline_args = "plain"
     extra_args = (
         Arg("--focus", choices=_FOCUS_CHOICES,
@@ -644,100 +632,3 @@ class MultiSimAnalysis(Analysis):
                     {result.workload: result.breakdown},
                     f"{result.workload}: % of execution time (multisim)")
                 + f"\n\nsimulations: {result.simulations}")
-
-
-# ----------------------------------------------------------------------
-# selfprofile
-# ----------------------------------------------------------------------
-
-@register_serializable
-@dataclass
-class SelfProfileResult(SerializableResult):
-    """The tool's own icost profile (docs/OBSERVABILITY.md)."""
-
-    workload: str
-    jobs: int
-    windows: int
-    profile: SelfProfile
-
-    def perf_metrics(self) -> Dict[str, float]:
-        """Machine-speed-dependent numbers for the ledger's perf section."""
-        return {"selfprof.total_ms": self.profile.total_ms,
-                "selfprof.wall_ms": self.profile.wall_ms,
-                "selfprof.coverage": self.profile.coverage}
-
-    def selfprofile_payload(self) -> Dict[str, object]:
-        """The ledger manifest's ``selfprofile`` section."""
-        return self.profile.payload()
-
-
-@register
-class SelfProfileAnalysis(Analysis):
-    """``selfprofile``: the paper's icost analysis on the tool itself.
-
-    Runs the full pipeline (simulate -> build -> analyze) on a workload
-    while observing it with :mod:`repro.obs`, lowers the recorded span
-    forest into the same :class:`repro.graph.DependenceGraph` machinery
-    every other analysis uses, and reports cost/icost of the tool's own
-    phases -- including the serial/parallel/independent classification
-    of every phase pair.
-    """
-
-    name = "selfprofile"
-    help = "icost analysis of the tool's own pipeline"
-    pipeline_args = "windows"
-    extra_args = (
-        Arg("--pool-threshold", type=int, default=0, dest="pool_threshold",
-            metavar="N",
-            help="min instructions/job before --jobs spawns a pool "
-                 "(default 0: always pool, so the pool being profiled "
-                 "actually runs)"),
-    )
-    result_type = SelfProfileResult
-
-    def run(self, session: AnalysisSession,
-            args: argparse.Namespace) -> SelfProfileResult:
-        """Observe one pipeline run, then self-profile the spans."""
-        import time
-
-        from repro import obs
-        from repro.core import interaction_breakdown
-        from repro.obs.selfprof import self_profile
-        from repro.pipeline import PipelineOptions, run_pipeline
-
-        # resolve (and possibly generate) the trace before observation
-        # starts: workload synthesis is setup, not pipeline
-        trace = session.trace
-        previous = obs.collector()
-        own = obs.enable(obs.Collector())
-        try:
-            t0 = time.perf_counter()
-            with obs.span("selfprof.run", workload=args.workload):
-                provider = run_pipeline(
-                    trace, config=session.machine,
-                    options=PipelineOptions(
-                        jobs=args.jobs, windows=args.windows,
-                        cache_dir=args.cache_dir, no_cache=args.no_cache,
-                        engine="batched", sim_engine=session.run.sim_engine,
-                        pool_threshold=args.pool_threshold))
-                interaction_breakdown(provider, focus=Category.DL1,
-                                      workload=args.workload)
-                provider.close()
-            wall_ms = (time.perf_counter() - t0) * 1e3
-        finally:
-            obs.disable()
-            if previous is not None:
-                obs.enable(previous)
-                previous.absorb(own.export_spans())
-        profile = self_profile(own, wall_ms=wall_ms)
-        return SelfProfileResult(workload=args.workload, jobs=args.jobs,
-                                 windows=args.windows, profile=profile)
-
-    def render(self, result: SelfProfileResult,
-               args: argparse.Namespace) -> str:
-        """The self-profile tables (costs, then pairwise interactions)."""
-        from repro.obs.selfprof import render_self_profile
-
-        head = (f"{result.workload}: self-profile of the pipeline "
-                f"(--jobs {result.jobs} --windows {result.windows})")
-        return head + "\n" + render_self_profile(result.profile)

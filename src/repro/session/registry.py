@@ -1,22 +1,29 @@
 """The declarative analysis registry behind every frontend.
 
 Each analysis the toolkit offers (breakdown, matrix, profile, ...) is
-one :class:`Analysis` subclass declaring its CLI surface (name, help,
-argument specs) and implementing ``run(session, args) -> *Result`` plus
-``render(result, args) -> str``.  The CLI builds its whole argparse
-tree from this table; a batch or server frontend would iterate the very
-same registry.  Results are typed dataclasses with uniform
-``to_json``/``from_json`` via :mod:`repro.core.serialize`, so every
-analysis is scriptable, not just printable.
+declared once in :data:`DECLARED` -- its subcommand name, one-line help
+and implementing module -- and implemented by one :class:`Analysis`
+subclass in that module, declaring its argument specs and implementing
+``run(session, args) -> *Result`` plus ``render(result, args) -> str``.
+The CLI lists every subcommand from the declarations alone and imports
+an implementation only for the subcommand it runs, so a ``breakdown``
+never loads the serve, bench or self-profile code; a batch or server
+frontend iterates the very same registry.  Results are typed
+dataclasses with uniform ``to_json``/``from_json`` via
+:mod:`repro.core.serialize`, so every analysis is scriptable, not just
+printable.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
+import importlib
+from collections.abc import Mapping
+from typing import (TYPE_CHECKING, Any, ClassVar, Dict, Iterator, List,
+                    NamedTuple, Optional, Tuple, Type)
 
-from repro.session.config import RunConfig
-from repro.session.session import AnalysisSession
+if TYPE_CHECKING:  # imported by make_session only when a run starts
+    from repro.session.session import AnalysisSession
 
 
 class Arg:
@@ -35,16 +42,91 @@ class Arg:
         parser.add_argument(*self.flags, **self.kwargs)
 
 
-#: name -> Analysis instance, in registration (= display) order.
-REGISTRY: Dict[str, "Analysis"] = {}
+class Declaration(NamedTuple):
+    """One registry entry: what the CLI lists without importing code."""
+
+    #: subcommand name
+    name: str
+    #: one-line help shown in the command list
+    help: str
+    #: the module whose import registers the implementation
+    module: str
+
+
+_ANALYSES = "repro.session.analyses"
+_BENCH = "repro.bench.analyses"
+
+#: name -> declaration, in display order.
+DECLARED: Dict[str, Declaration] = {d.name: d for d in (
+    Declaration("workloads", "list the synthetic suite", _ANALYSES),
+    Declaration("breakdown", "interaction-cost breakdown", _ANALYSES),
+    Declaration("characterize", "icost fingerprint of the suite",
+                _ANALYSES),
+    Declaration("profile", "shotgun-profile and compare", _ANALYSES),
+    Declaration("matrix", "pairwise interaction-cost matrix", _ANALYSES),
+    Declaration("report", "self-contained HTML analysis report",
+                _ANALYSES),
+    Declaration("sensitivity", "window-size sweep (Figure 3)", _ANALYSES),
+    Declaration("phases", "segment cost vectors + phase changes",
+                _ANALYSES),
+    Declaration("critical", "costliest instructions + CP profile",
+                _ANALYSES),
+    Declaration("compare", "diff breakdowns across two machine configs",
+                _ANALYSES),
+    Declaration("multisim", "ground-truth re-simulation breakdown",
+                _ANALYSES),
+    Declaration("selfprofile", "icost analysis of the tool's own pipeline",
+                _BENCH),
+    Declaration("bench",
+                "run a benchmark suite (paper tables/figures, speedups)",
+                _BENCH),
+    Declaration("ledger", "run-ledger history: list/show/diff/report",
+                _BENCH),
+    Declaration("serve",
+                "serve the analysis registry over HTTP/JSON (daemon)",
+                "repro.serve.analysis"),
+)}
+
+
+class _Registry(Mapping):
+    """name -> :class:`Analysis` instance over :data:`DECLARED`.
+
+    Iterating, sizing and membership read the declarations only;
+    looking a name up imports its implementing module the first time.
+    """
+
+    def __init__(self) -> None:
+        self._instances: Dict[str, "Analysis"] = {}
+
+    def __getitem__(self, name: str) -> "Analysis":
+        declaration = DECLARED[name]
+        if name not in self._instances:
+            importlib.import_module(declaration.module)
+        return self._instances[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(DECLARED)
+
+    def __len__(self) -> int:
+        return len(DECLARED)
+
+    def add(self, analysis: "Analysis") -> None:
+        """Record the implementation of a declared analysis."""
+        if analysis.name not in DECLARED:
+            raise ValueError(f"analysis {analysis.name!r} is not declared "
+                             f"in repro.session.registry.DECLARED")
+        if analysis.name in self._instances:
+            raise ValueError(f"duplicate analysis name {analysis.name!r}")
+        self._instances[analysis.name] = analysis
+
+
+#: name -> Analysis instance, in declaration (= display) order.
+REGISTRY = _Registry()
 
 
 def register(cls: Type["Analysis"]) -> Type["Analysis"]:
     """Class decorator adding one instance of *cls* to the registry."""
-    analysis = cls()
-    if analysis.name in REGISTRY:
-        raise ValueError(f"duplicate analysis name {analysis.name!r}")
-    REGISTRY[analysis.name] = analysis
+    REGISTRY.add(cls())
     return cls
 
 
@@ -54,8 +136,8 @@ def get_analysis(name: str) -> "Analysis":
 
 
 def all_analyses() -> List["Analysis"]:
-    """Every registered analysis, in registration order."""
-    return list(REGISTRY.values())
+    """Every registered analysis, in declaration order (imports all)."""
+    return [REGISTRY[name] for name in DECLARED]
 
 
 class Analysis:
@@ -68,10 +150,8 @@ class Analysis:
     machine overrides and pipeline knobs identically.
     """
 
-    #: subcommand name
+    #: subcommand name (its help lives in :data:`DECLARED`)
     name: ClassVar[str] = ""
-    #: one-line help shown in the command list
-    help: ClassVar[str] = ""
     #: positional workload + --scale/--seed/--set
     workload_arg: ClassVar[bool] = True
     #: add the --engine selector
@@ -91,6 +171,11 @@ class Analysis:
     #: whether this analysis needs an obs collector even without
     #: --trace/--metrics (the serve daemon: per-job traces + /metrics)
     wants_collector: ClassVar[bool] = False
+
+    @property
+    def help(self) -> str:
+        """The one-line help this analysis's declaration carries."""
+        return DECLARED[self.name].help
 
     def configure(self, parser: argparse.ArgumentParser) -> None:
         """Attach this analysis's declared arguments to *parser*."""
@@ -151,7 +236,7 @@ class Analysis:
         for arg in self.extra_args:
             arg.add_to(parser)
 
-    def make_session(self, args: argparse.Namespace) -> AnalysisSession:
+    def make_session(self, args: argparse.Namespace) -> "AnalysisSession":
         """Build the :class:`AnalysisSession` this invocation runs in.
 
         Validates the workload name against the suite (matching the
@@ -165,9 +250,12 @@ class Analysis:
                 raise SystemExit(
                     f"unknown workload {workload!r}; "
                     f"see 'repro-icost workloads'")
+        from repro.session.config import RunConfig
+        from repro.session.session import AnalysisSession
+
         return AnalysisSession(RunConfig.from_args(args))
 
-    def run(self, session: AnalysisSession, args: argparse.Namespace):
+    def run(self, session: "AnalysisSession", args: argparse.Namespace):
         """Execute the analysis; returns an instance of ``result_type``."""
         raise NotImplementedError
 

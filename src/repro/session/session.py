@@ -5,7 +5,11 @@ the dependence graph, idealize edge sets, compare costs -- but the
 repository grew one hand-wired copy of that loop per analysis.  An
 :class:`AnalysisSession` centralises the loop's expensive stages:
 
-- **trace resolution** (suite workload name -> generated trace);
+- **trace resolution** (suite workload name -> trace): a suite trace
+  is a :class:`~repro.workloads.registry.SuiteTrace` keyed by its
+  identity, read only when something needs its instructions -- a
+  cache miss, a report over the simulation, a sweep point to run -- so
+  a fully cached run never generates, loads or hashes it;
 - **cached simulation**: every ``simulate`` in the process goes through
   :meth:`AnalysisSession.simulate` / :meth:`cycles`, which memoise by
   content (trace fingerprint x machine config x idealization) and
@@ -70,7 +74,8 @@ class AnalysisSession:
     *run* carries the typed knobs (:class:`repro.session.RunConfig`);
     *trace* optionally pins an already-generated trace (library
     callers), otherwise :attr:`trace` resolves ``run.workload`` through
-    the suite registry; *cache* optionally injects an existing
+    the suite registry, reading it through this session's artifact
+    cache; *cache* optionally injects an existing
     :class:`repro.pipeline.artifacts.ArtifactCache` instead of opening
     one from ``run.cache_dir``.
     """
@@ -107,17 +112,30 @@ class AnalysisSession:
 
     @property
     def trace(self) -> Trace:
-        """The run's trace, resolving the workload name on first use."""
+        """The run's trace: the pinned one, or the workload's
+        :class:`~repro.workloads.registry.SuiteTrace`, which reads its
+        instructions (through this session's artifact cache) on first
+        access."""
         if self._trace is None:
             if self.run.workload is None:
                 raise ValueError(
                     "session has neither a trace nor a workload name")
-            from repro.workloads import get_workload
+            from repro.workloads.registry import SuiteTrace
 
-            self._trace = get_workload(self.run.workload,
-                                       scale=self.run.scale,
-                                       seed=self.run.seed)
+            self._trace = SuiteTrace(self.run.workload,
+                                     scale=self.run.scale,
+                                     seed=self.run.seed, cache=self.cache)
         return self._trace
+
+    @property
+    def trace_source(self) -> Optional[str]:
+        """Where the run's suite trace came from: ``"generated"``,
+        ``"loaded"`` (artifact cache), ``"cached"`` (in-process), or
+        ``"skipped"`` when nothing read it; ``None`` for a pinned trace
+        or a run without one."""
+        if not hasattr(self._trace, "source"):
+            return None
+        return self._trace.source or "skipped"
 
     @property
     def machine(self) -> MachineConfig:
@@ -429,6 +447,9 @@ class AnalysisSession:
         if not self._closed:
             self._closed = True
             obs.count("session.close")
+            if self.trace_source == "skipped":
+                obs.count("workload.trace.skipped")
+                obs.note("workload.trace.source", "skipped")
         self._sims.clear()
         self._cycles.clear()
 

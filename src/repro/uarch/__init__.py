@@ -13,25 +13,18 @@ switch on :class:`repro.uarch.config.IdealConfig`, so that the paper's
 than graph manipulation.
 """
 
-from repro.uarch.config import MachineConfig, IdealConfig, FUKind
-from repro.uarch.events import InstEvents, SimResult
-from repro.uarch.core import OutOfOrderCore
+from repro._lazy import lazy_exports
+
 # The package-level ``simulate`` is the engine dispatcher: it honours
 # ``REPRO_SIM_ENGINE`` (auto/fast/reference) and is bit-identical to
 # ``repro.uarch.core.simulate`` (the reference oracle) either way.
-from repro.uarch.fastcore import simulate, simulate_many, cycles_many
-from repro.uarch.persist import load_result, save_result
 
-__all__ = [
-    "MachineConfig",
-    "IdealConfig",
-    "FUKind",
-    "InstEvents",
-    "SimResult",
-    "OutOfOrderCore",
-    "simulate",
-    "simulate_many",
-    "cycles_many",
-    "load_result",
-    "save_result",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    **{name: "repro.uarch.config" for name in (
+        "MachineConfig", "IdealConfig", "FUKind")},
+    **{name: "repro.uarch.events" for name in ("InstEvents", "SimResult")},
+    "OutOfOrderCore": "repro.uarch.core",
+    **{name: "repro.uarch.fastcore" for name in (
+        "simulate", "simulate_many", "cycles_many")},
+    **{name: "repro.uarch.persist" for name in ("load_result", "save_result")},
+})

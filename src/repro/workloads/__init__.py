@@ -10,21 +10,12 @@ flow, so each workload is an actual TinyRISC program executed to a
 committed-path trace -- not a statistical event stream.
 """
 
-from repro.workloads.registry import (
-    WORKLOAD_NAMES,
-    TABLE4BC_NAMES,
-    get_workload,
-    get_program,
-    workload_description,
-)
-from repro.workloads.synthetic import fuzz_program, random_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WORKLOAD_NAMES",
-    "TABLE4BC_NAMES",
-    "get_workload",
-    "get_program",
-    "workload_description",
-    "fuzz_program",
-    "random_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    **{name: "repro.workloads.registry" for name in (
+        "WORKLOAD_NAMES", "TABLE4BC_NAMES", "get_workload", "get_program",
+        "workload_description")},
+    **{name: "repro.workloads.synthetic" for name in (
+        "fuzz_program", "random_program")},
+})

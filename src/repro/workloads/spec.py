@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 from repro.isa.executor import Executor
 from repro.isa.program import Program, ProgramBuilder
@@ -54,13 +54,19 @@ class Workload:
     memory: Mapping[int, int] = field(default_factory=dict)
     warm_l1_ranges: tuple = ()
     warm_l2_ranges: tuple = ()
+    #: the suite identity the registry built this workload under (see
+    #: :func:`repro.workloads.registry.workload_identity`); its
+    #: traces carry it, so the artifact cache keys them without hashing
+    identity: Optional[tuple] = None
 
     def trace(self, max_insts: int = 2_000_000) -> Trace:
-        """Execute the workload to its committed-path dynamic trace."""
+        """Execute the workload to its committed-path dynamic trace
+        (a run past *max_insts* raises, so the trace is never cut)."""
         trace = Executor(self.program, max_insts=max_insts,
                          memory_init=self.memory).run()
         trace.warm_l1_ranges = self.warm_l1_ranges
         trace.warm_l2_ranges = self.warm_l2_ranges
+        trace.identity = self.identity
         return trace
 
 

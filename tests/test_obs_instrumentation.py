@@ -64,6 +64,30 @@ class TestPipelineSpans:
         assert c.counter("workload.trace.evicted") == 1
         assert c.gauges["workload.trace.cached_insts"] == cache.insts > 0
 
+    def test_trace_source_counters(self, tmp_path, monkeypatch):
+        """A run's suite trace is generated, loaded from the artifact
+        cache, or skipped when a warm run never reads it; each counts,
+        and the ``workload.trace.source`` note says which."""
+        from repro.session import AnalysisSession, RunConfig
+        from repro.uarch import MachineConfig
+
+        run = RunConfig(workload="gzip", scale=0.05, seed=34567,
+                        cache_dir=str(tmp_path))
+        sources = []
+        # cold, then warm, then a new machine over the cached trace
+        for config in (run, run, run.with_(machine=MachineConfig(
+                dl1_latency=4))):
+            monkeypatch.setattr(registry, "_TRACES",
+                                registry._TraceCache(1 << 17))
+            c = obs.enable()
+            with AnalysisSession(config) as session:
+                session.provider()
+            obs.disable()
+            source = c.notes["workload.trace.source"]
+            assert c.counter(f"workload.trace.{source}") == 1
+            sources.append(source)
+        assert sources == ["generated", "skipped", "loaded"]
+
     def test_span_args_carry_sizes(self, collected):
         by_name = {s[0]: s[4] for s in collected.spans}
         assert by_name["graph.build"]["insns"] > 0

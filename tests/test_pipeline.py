@@ -265,22 +265,22 @@ class TestWorkerEnvironment:
         from repro.graph.engine import CHILD_ENV_VARS, child_env
 
         monkeypatch.setenv("REPRO_ENGINE_NO_NATIVE", "1")
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
         env = child_env()
         assert set(env) == set(CHILD_ENV_VARS)
         assert env["REPRO_ENGINE_NO_NATIVE"] == "1"
-        assert env["REPRO_ENGINE"] is None
+        assert env["REPRO_SIM_ENGINE"] is None
 
     def test_apply_child_env_sets_and_unsets(self, monkeypatch):
         from repro.graph.engine import apply_child_env
 
-        monkeypatch.setenv("REPRO_ENGINE", "naive")
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
         apply_child_env({"REPRO_ENGINE_NO_NATIVE": "1",
-                         "REPRO_ENGINE": None,
+                         "REPRO_SIM_ENGINE": None,
                          "REPRO_CACHE_DIR": None})
         try:
             assert os.environ.get("REPRO_ENGINE_NO_NATIVE") == "1"
-            assert "REPRO_ENGINE" not in os.environ
+            assert "REPRO_SIM_ENGINE" not in os.environ
         finally:
             monkeypatch.delenv("REPRO_ENGINE_NO_NATIVE", raising=False)
 

@@ -79,6 +79,26 @@ class TestRegistryCompleteness:
             assert dataclasses.is_dataclass(analysis.result_type)
             assert issubclass(analysis.result_type, SerializableResult)
 
+    def test_declarations_name_their_implementing_modules(self):
+        """The CLI lists subcommands from the declarations alone, so
+        each one must say truly which module implements it."""
+        from repro.session.registry import DECLARED
+
+        assert [a.name for a in all_analyses()] == list(DECLARED)
+        for analysis in all_analyses():
+            assert type(analysis).__module__ == \
+                DECLARED[analysis.name].module
+            assert analysis.help == DECLARED[analysis.name].help
+
+    def test_undeclared_analyses_cannot_register(self):
+        from repro.session.registry import Analysis, register
+
+        class Undeclared(Analysis):
+            name = "undeclared"
+
+        with pytest.raises(ValueError, match="not declared"):
+            register(Undeclared)
+
     def test_get_analysis_resolves_names(self):
         assert get_analysis("breakdown").name == "breakdown"
         with pytest.raises(KeyError):

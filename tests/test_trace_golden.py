@@ -9,8 +9,13 @@ memory image, the random-draw path or the executor that moves a single
 address or producer fails here.
 
 The digests were recorded before trace generation moved to flat
-memory images and vectorized random draws.  Regenerate them only when
-a workload is changed on purpose::
+memory images and vectorized random draws.  The file also records the
+``TRACE_GENERATOR_VERSION`` they were recorded at: suite traces are
+cached by ``(workload, scale, seed, version)``, so a generator change
+must bump the version, and a test fails while the two differ.
+Regenerate the digests only when a workload is changed on purpose,
+after bumping :data:`repro.workloads.registry.TRACE_GENERATOR_VERSION`
+(``--record`` refuses to change a digest at the recorded version)::
 
     PYTHONPATH=src python tests/test_trace_golden.py --record
 """
@@ -24,7 +29,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.workloads.registry import WORKLOAD_NAMES, get_workload_object
+from repro.workloads.registry import (
+    TRACE_GENERATOR_VERSION,
+    WORKLOAD_NAMES,
+    get_workload_object,
+)
 from repro.workloads.synthetic import fuzz_program, random_program
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_digests.json"
@@ -60,8 +69,12 @@ def _cases():
 CASES = dict(_cases())
 
 
-def _golden():
+def _golden_file():
     return json.loads(GOLDEN.read_text())
+
+
+def _golden():
+    return _golden_file()["digests"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -73,10 +86,46 @@ def test_golden_covers_every_case():
     assert set(_golden()) == set(CASES)
 
 
+def test_golden_was_recorded_at_the_generator_version():
+    """Identity cache keys hold only while the digests and the version
+    move together: a changed digest needs a bumped version."""
+    assert _golden_file()["trace_generator_version"] == \
+        TRACE_GENERATOR_VERSION
+
+
+def test_record_refuses_a_changed_digest_at_the_recorded_version():
+    previous = _golden_file()
+    assert record(dict(previous["digests"]), previous) == previous
+    changed = dict(previous["digests"], **{"gcc/s0/x0.5": "0" * 64})
+    with pytest.raises(ValueError, match="TRACE_GENERATOR_VERSION"):
+        record(changed, previous)
+    older = dict(previous,
+                 trace_generator_version=TRACE_GENERATOR_VERSION - 1)
+    assert record(changed, older)["digests"]["gcc/s0/x0.5"] == "0" * 64
+
+
+def record(digests, previous):
+    """The golden file's new content, or a ValueError when a digest
+    would change without a bumped ``TRACE_GENERATOR_VERSION``."""
+    if previous["trace_generator_version"] == TRACE_GENERATOR_VERSION:
+        changed = sorted(case for case, digest in digests.items()
+                         if previous["digests"].get(case, digest) != digest)
+        if changed:
+            raise ValueError(
+                f"{len(changed)} digests changed (e.g. {changed[0]}) at "
+                f"TRACE_GENERATOR_VERSION {TRACE_GENERATOR_VERSION}: bump "
+                f"it in repro/workloads/registry.py, then record again")
+    return {"trace_generator_version": TRACE_GENERATOR_VERSION,
+            "digests": dict(sorted(digests.items()))}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_trace_golden.py --record")
-    GOLDEN.write_text(json.dumps(
-        {case: trace_digest(make().trace())
-         for case, make in sorted(CASES.items())}, indent=1) + "\n")
+    try:
+        content = record({case: trace_digest(make().trace())
+                          for case, make in CASES.items()}, _golden_file())
+    except ValueError as exc:
+        sys.exit(str(exc))
+    GOLDEN.write_text(json.dumps(content, indent=1) + "\n")
     print(f"recorded {len(CASES)} digests to {GOLDEN}")
