@@ -93,20 +93,6 @@ class TestEngineSpeedup:
             f"batched engine only {speedup:.2f}x over naive "
             f"(naive {naive_t:.3f}s, batched {batched_t:.3f}s)")
 
-    def test_parallel_identical_results(self, graph, check):
-        """The pool engine must agree bit-for-bit; on single-CPU hosts
-        it degrades to the local batched engine, so no speedup floor is
-        asserted for it here."""
-        def experiment():
-            t, bd = best_of(
-                lambda: breakdown_with(graph, "parallel"), rounds=1)
-            return t, bd
-
-        parallel_t, parallel_bd = check(experiment)
-        naive_bd = breakdown_with(graph, "naive")
-        assert rows(parallel_bd) == rows(naive_bd)
-        print(f"\nparallel engine: {parallel_t:.3f}s, identical rows")
-
     def test_pure_python_fallback_also_wins(self, graph, check):
         """Without the C kernel the batched engine must still beat the
         naive sweep (vectorised idealization + flat kernel + reuse)."""

@@ -1,21 +1,12 @@
-"""Pipeline speedup: the segmented parallel path vs the monolithic one.
+"""Pipeline speedup: the staged exact path vs the serial reference one.
 
 The tentpole performance claim of docs/PIPELINE.md: on gcc at scale
 2.0, a *cold* end-to-end analysis (simulate -> build -> full
-four-category power-set breakdown) through ``run_pipeline`` with
-``windows=8, jobs=4`` runs at least 6x faster than the monolithic
-serial path (single-pass reference build, naive engine -- what the
-plain CLI path runs), with identical rows.  (The floor was 2x before
+four-category power-set breakdown) through ``run_pipeline`` runs at
+least 6x faster than the serial reference path (single-pass reference
+build, naive engine), with identical rows.  (The floor was 2x before
 the columnar event plane; the zero-materialization sim -> cache ->
 graph path measures ~13x here, and 6x leaves room for noisy hosts.)
-
-The pipeline runs in its default *auto* pool mode: ``jobs=4`` is a
-ceiling, and on a trace this small (under
-:data:`~repro.pipeline.runner.POOL_MIN_INSTS_PER_JOB` per job) the
-runner is expected to fall back to the in-process sharded build
-rather than pay pool spawn latency -- the cold-path regression the
-heuristic exists to fix.  The test asserts the heuristic actually
-fired, so the speedup gates the decision, not just the fast path.
 
 A warm-cache rerun must then skip the simulate and build stages
 entirely -- asserted through the obs counters, not wall-clock, so the
@@ -86,7 +77,7 @@ def monolithic_breakdown(trace):
 
 def pipeline_breakdown(trace, cache_dir):
     provider = run_pipeline(trace, options=PipelineOptions(
-        windows=8, jobs=4, cache_dir=cache_dir))
+        cache_dir=cache_dir))
     try:
         return full_interaction_breakdown(provider, CATS, workload="gcc")
     finally:
@@ -124,20 +115,6 @@ class TestPipelineSpeedup:
         assert speedup >= 6.0, (
             f"pipeline only {speedup:.2f}x over the monolithic path "
             f"(monolithic {base_t:.3f}s, pipeline {pipe_t:.3f}s)")
-
-        # the auto heuristic must have chosen the in-process path for
-        # this trace size (jobs=4 over ~25k insts): one observed cold
-        # run, outside the timed rounds
-        collector = obs.enable()
-        try:
-            auto_bd = pipeline_breakdown(gcc_trace,
-                                         str(tmp_path / "auto-check"))
-        finally:
-            obs.disable()
-        assert rows(auto_bd) == rows(base_bd)
-        assert collector.counter("pipeline.auto_inline") == 1
-        assert "inline" in collector.notes.get("pipeline.build.strategy", "")
-        assert "pipeline.stitch" not in collector.span_names()
 
         # warm rerun against the last round's cache: simulate and
         # build must both be skipped (graph artifact hit, zero windows

@@ -25,9 +25,9 @@ from repro.uarch.events import SimResult
 class GraphCostProvider:
     """Cost provider backed by one simulation and its dependence graph.
 
-    *engine* selects the cost engine (``"naive"``, ``"batched"``,
-    ``"parallel"`` or an instance; ``None`` is the default, batched;
-    see :mod:`repro.graph.engine`).
+    *engine* selects the cost engine (``"naive"``, ``"batched"`` or an
+    instance; ``None`` is the default, batched; see
+    :mod:`repro.graph.engine`).
     """
 
     def __init__(self, result: SimResult,

@@ -414,7 +414,7 @@ class SelfProfileResult(SerializableResult):
 
     workload: str
     jobs: int
-    windows: int
+    approx: int
     profile: SelfProfile
 
     def perf_metrics(self) -> Dict[str, float]:
@@ -441,14 +441,7 @@ class SelfProfileAnalysis(Analysis):
     """
 
     name = "selfprofile"
-    pipeline_args = "windows"
-    extra_args = (
-        Arg("--pool-threshold", type=int, default=0, dest="pool_threshold",
-            metavar="N",
-            help="min instructions/job before --jobs spawns a pool "
-                 "(default 0: always pool, so the pool being profiled "
-                 "actually runs)"),
-    )
+    pipeline_args = "approx"
     result_type = SelfProfileResult
 
     def run(self, session: AnalysisSession,
@@ -472,10 +465,9 @@ class SelfProfileAnalysis(Analysis):
                 provider = run_pipeline(
                     trace, config=session.machine,
                     options=PipelineOptions(
-                        jobs=args.jobs, windows=args.windows,
+                        jobs=args.jobs, approx=args.approx,
                         cache_dir=args.cache_dir, no_cache=args.no_cache,
-                        engine="batched", sim_engine=session.run.sim_engine,
-                        pool_threshold=args.pool_threshold))
+                        engine="batched", sim_engine=session.run.sim_engine))
                 interaction_breakdown(provider, focus=Category.DL1,
                                       workload=args.workload)
                 provider.close()
@@ -487,7 +479,7 @@ class SelfProfileAnalysis(Analysis):
                 previous.absorb(own.export_spans())
         profile = self_profile(own, wall_ms=wall_ms)
         return SelfProfileResult(workload=args.workload, jobs=args.jobs,
-                                 windows=args.windows, profile=profile)
+                                 approx=args.approx, profile=profile)
 
     def render(self, result: SelfProfileResult,
                args: argparse.Namespace) -> str:
@@ -495,5 +487,5 @@ class SelfProfileAnalysis(Analysis):
         from repro.obs.selfprof import render_self_profile
 
         head = (f"{result.workload}: self-profile of the pipeline "
-                f"(--jobs {result.jobs} --windows {result.windows})")
+                f"(--jobs {result.jobs} --approx {result.approx})")
         return head + "\n" + render_self_profile(result.profile)

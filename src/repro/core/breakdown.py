@@ -78,9 +78,9 @@ def _prefetch_unions(cached: CachingCostProvider, group_sets) -> None:
     """Hint the provider about every union a breakdown will measure.
 
     The power-set identity means the same union is shared by many
-    icost evaluations; prefetching each distinct union once lets
-    batched engines schedule subset reuse and parallel engines fan the
-    independent measurements across workers.
+    icost evaluations; prefetching each distinct union once lets the
+    batched engine schedule subset reuse and the windowed pipeline fan
+    the independent measurements across its window workers.
     """
     from itertools import chain
 

@@ -18,8 +18,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "longest_path", "critical_path_edges", "edge_kind_profile")},
     "GraphCostAnalyzer": "repro.graph.cost",
     **{name: "repro.graph.engine" for name in (
-        "ENGINE_NAMES", "BatchedEngine", "NaiveEngine", "ParallelEngine",
-        "make_engine")},
+        "ENGINE_NAMES", "BatchedEngine", "NaiveEngine", "make_engine")},
     **{name: "repro.graph.slack" for name in (
         "edge_slacks", "instruction_cost", "instruction_icost",
         "instruction_slack", "top_critical_instructions")},

@@ -224,8 +224,8 @@ def build_graph(result: SimResult,
 
 
 # ----------------------------------------------------------------------
-# Vectorized edge emission (the fast path, and the segment builder the
-# parallel pipeline shards across worker processes)
+# Vectorized edge emission (the fast path, and the truncating window
+# builder of the windowed pipeline mode and the sampled provider)
 # ----------------------------------------------------------------------
 
 #: Column names of one emitted edge block, in DependenceGraph order.
@@ -235,44 +235,31 @@ EDGE_COLUMNS = ("src", "dst", "kind", "lat", "cat1", "val1", "cat2", "val2")
 def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
                      breaks: bool = True, *,
                      start: int = 0,
-                     global_ids: bool = False,
-                     truncate: bool = False,
-                     prev_inst=None,
-                     prev_event=None,
                      trace=None) -> Tuple[Dict[str, "np.ndarray"],
                                           Optional[Tuple[int, int, int]]]:
     """Emit the Table 3 edges of a contiguous instruction range as arrays.
 
     *insts*/*events* cover instructions ``start .. start+len-1`` of a
-    run.  Three call shapes share this function:
-
-    - whole run (``start=0``): exactly :meth:`GraphBuilder._build`;
-    - truncating window (``truncate=True``): a profiler-fragment-style
-      local graph -- producers, fill partners and mispredict sources
-      before *start* fall out of trace, node ids are window-local, and
-      structural guards (fetch/commit bandwidth, window occupancy) use
-      window-local positions, matching
-      :class:`repro.analysis.sampled.WindowedRun` semantics edge for
-      edge;
-    - exact segment (``global_ids=True``): node ids, guards and
-      cross-segment references stay global, and *prev_inst*/*prev_event*
-      supply the one instruction of left context the first DD/PD edges
-      need, so concatenating consecutive segments reproduces the
-      monolithic build bit for bit (see :func:`stitch_graph`).
+    run.  At ``start=0`` over the whole run this is exactly
+    :meth:`GraphBuilder._build`.  Any other range is a truncating
+    window: a profiler-fragment-style local graph -- producers, fill
+    partners and mispredict sources before *start* fall out of trace,
+    node ids are window-local, and structural guards (fetch/commit
+    bandwidth, window occupancy) use window-local positions, matching
+    :class:`repro.analysis.sampled.WindowedRun` semantics edge for
+    edge.
 
     When *events* is a :class:`~repro.uarch.events.LazyEvents` facade
     whose offset matches *start* and *trace* carries an
     ``InstColumns`` block, emission reads whole columns instead of
     iterating Python objects -- same edges, zero ``InstEvents``
-    materialized (left context included: it comes from the facade's
-    root columns, so *prev_inst*/*prev_event* are ignored).  Any other
-    input shape takes the object-gathering path unchanged.
+    materialized.  Any other input shape takes the object-gathering
+    path unchanged.
 
     Returns ``(columns, seed)`` where *columns* maps
     :data:`EDGE_COLUMNS` to int64 arrays sorted in CSR (destination,
     emission-slot) order, and *seed* is the ``(latency, category,
-    value)`` start seed of node 0, or None when this segment does not
-    own node 0.
+    value)`` start seed of node 0, or None when node 0 has none.
     """
     if np is None:  # pragma: no cover - numpy ships with the package
         raise RuntimeError("vectorized edge emission requires numpy")
@@ -288,15 +275,11 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
     wakeup_extra = cfg.issue_wakeup - 1
     c2c = cfg.complete_to_commit
 
-    # which producer references survive, and how they map to node space
-    keep_floor = start if truncate else 0
-    src_rebase = 0 if global_ids else start
-    node_off = start if global_ids else 0
-
+    # producer references before *start* fall out of trace; the rest
+    # map to window-local node ids
     local = np.arange(n, dtype=np.int64)
-    guard = local + (start if global_ids else 0)
     abs_idx = local + start
-    nid5 = (local + node_off) * 5
+    nid5 = local * 5
 
     # the columnar plane applies when the event facade's window lines
     # up with [start, start+n) of its root and the trace carries the
@@ -332,9 +315,6 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
         opgroup = np.fromiter((_OPGROUP[op] for op, _ in op_tk), np.int64, n)
         taken = np.fromiter((bool(t) for _, t in op_tk), np.bool_, n)
         taken_br = (opgroup == 3) & taken  # group 3 == OpClass.BRANCH
-        if global_ids and start > 0 and prev_event is None \
-                and isinstance(events, LazyEvents) and events.offset == start:
-            prev_event = LazyEvents(events.root)[start - 1]
 
     blocks: List[Tuple["np.ndarray", ...]] = []
 
@@ -367,43 +347,23 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
         block(nid5[:-1] + D, nid5[1:] + D, EdgeKind.DD, ic + break_lat, 0,
               cat1=np.where(ic > 0, _IMISS, NO_CATEGORY), val1=ic,
               cat2=np.where(break_lat > 0, _BW, NO_CATEGORY), val2=break_lat)
-    if global_ids and start > 0 and (icols is not None
-                                     or prev_inst is not None):
-        if icols is not None:  # left context straight from the columns
-            prev_break = 1 if (breaks and bool(icols.taken_br[start - 1])) \
-                else 0
-        else:
-            prev_break = 1 if (breaks and prev_inst.is_branch
-                               and prev_inst.taken) else 0
-        ic0 = int(icache[0])
-        block([(start - 1) * 5 + D], [nid5[0] + D], EdgeKind.DD,
-              [ic0 + prev_break], 0,
-              cat1=[_IMISS if ic0 else NO_CATEGORY], val1=[ic0],
-              cat2=[_BW if prev_break else NO_CATEGORY], val2=[prev_break])
-    sel = np.nonzero(guard >= fbw)[0]
+    sel = np.nonzero(local >= fbw)[0]
     block(nid5[sel] + D - 5 * fbw, nid5[sel] + D, EdgeKind.FBW,
           np.ones(len(sel), dtype=np.int64), 1)
-    sel = np.nonzero(guard >= window)[0]
+    sel = np.nonzero(local >= window)[0]
     block(nid5[sel] + C - 5 * window, nid5[sel] + D, EdgeKind.CD,
           np.zeros(len(sel), dtype=np.int64), 2)
     sel = np.nonzero(misp[:-1])[0] + 1 if n > 1 else np.zeros(0, dtype=np.int64)
     block(nid5[sel - 1] + P, nid5[sel] + D, EdgeKind.PD,
           np.full(len(sel), recovery, dtype=np.int64), 3)
-    if global_ids and start > 0:
-        prev_misp = (bool(events.root.column("mispredicted")[start - 1])
-                     if ecols is not None
-                     else prev_event is not None and prev_event.mispredicted)
-        if prev_misp:
-            block([(start - 1) * 5 + P], [nid5[0] + D], EdgeKind.PD,
-                  [recovery], 3)
 
     # ---- edges into R: DR(0), PR (producer order, then the memory
     # producer); the tight loop only touches instructions' producer
     # tuples, so it stays cheap relative to the array work ----
     block(nid5 + D, nid5 + R, EdgeKind.DR, np.ones(n, dtype=np.int64), 0)
     if icols is not None:
-        # the trace's deduplicated-producer CSR, filtered by keep_floor
-        # at emission time.  Slot numbers are first-occurrence positions
+        # the trace's deduplicated-producer CSR, filtered by *start* at
+        # emission time.  Slot numbers are first-occurrence positions
         # (not renumbered over the kept subset, as the object loop
         # does); the lexsort only consumes their relative order within a
         # destination, which both numberings share, and the memory
@@ -415,12 +375,12 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
         dst_local = np.repeat(local, counts)
         pos = np.arange(lo, hi, dtype=np.int64) - np.repeat(starts[:-1],
                                                             counts)
-        keep = prod >= keep_floor
+        keep = prod >= start
         mem = icols.mem_extra[start:start + n]
-        msel = np.nonzero(mem >= keep_floor)[0]
+        msel = np.nonzero(mem >= start)[0]
         pr_src = np.concatenate((
-            (prod[keep] - src_rebase) * 5 + P,
-            (mem[msel] - src_rebase) * 5 + P))
+            (prod[keep] - start) * 5 + P,
+            (mem[msel] - start) * 5 + P))
         if len(pr_src):
             m = len(pr_src)
             ks = int(np.count_nonzero(keep))
@@ -448,16 +408,16 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
             seen = set()
             r_node = int(nid5[i]) + R
             for j in inst.src_producers:
-                if j >= keep_floor and j not in seen:
+                if j >= start and j not in seen:
                     seen.add(j)
-                    pr_src.append((j - src_rebase) * 5 + P)
+                    pr_src.append((j - start) * 5 + P)
                     pr_dst.append(r_node)
                     pr_lat.append(wakeup_extra)
                     pr_slot.append(slot)
                     slot += 1
             mem = inst.mem_producer
-            if inst.is_load and mem >= keep_floor and mem not in seen:
-                pr_src.append((mem - src_rebase) * 5 + P)
+            if inst.is_load and mem >= start and mem not in seen:
+                pr_src.append((mem - start) * 5 + P)
                 pr_dst.append(r_node)
                 pr_lat.append(0)
                 pr_slot.append(slot)
@@ -490,17 +450,17 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
     ep_val2 = np.where(is_mem, missc, 0)
     block(nid5 + E, nid5 + P, EdgeKind.EP, ep_lat, 0,
           cat1=ep_cat1, val1=ep_val1, cat2=ep_cat2, val2=ep_val2)
-    sel = np.nonzero((pp >= keep_floor) & (pp < abs_idx))[0]
-    block((pp[sel] - src_rebase) * 5 + P, nid5[sel] + P, EdgeKind.PP,
+    sel = np.nonzero((pp >= start) & (pp < abs_idx))[0]
+    block((pp[sel] - start) * 5 + P, nid5[sel] + P, EdgeKind.PP,
           np.zeros(len(sel), dtype=np.int64), 1)
 
     # ---- edges into C: PC(0), CC(1), CBW(2) ----
     block(nid5 + P, nid5 + C, EdgeKind.PC,
           np.full(n, c2c, dtype=np.int64), 0)
-    sel = np.nonzero(guard >= 1)[0]
+    sel = np.nonzero(local >= 1)[0]
     block(nid5[sel] + C - 5, nid5[sel] + C, EdgeKind.CC, sbw[sel], 1,
           cat1=np.full(len(sel), _BW, dtype=np.int64), val1=sbw[sel])
-    sel = np.nonzero(guard >= cbw)[0]
+    sel = np.nonzero(local >= cbw)[0]
     block(nid5[sel] + C - 5 * cbw, nid5[sel] + C, EdgeKind.CBW,
           np.ones(len(sel), dtype=np.int64), 2)
 
@@ -512,8 +472,7 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
     cols = {name: stacked[i][order] for i, name in enumerate(EDGE_COLUMNS)}
 
     seed = None
-    owns_node_zero = truncate or start == 0
-    if owns_node_zero and int(icache[0]):
+    if int(icache[0]):
         seed = (int(icache[0]), _IMISS, int(icache[0]))
     return cols, seed
 
@@ -523,8 +482,7 @@ def graph_from_arrays(num_insts: int, cols: Dict[str, "np.ndarray"],
     """Assemble a finalized :class:`DependenceGraph` from edge columns.
 
     *cols* must already be in CSR (destination, emission) order --
-    exactly what :func:`emit_edge_arrays` and :func:`stitch_graph`
-    produce.
+    exactly what :func:`emit_edge_arrays` produces.
     """
     csr = np.searchsorted(
         cols["dst"], np.arange(num_insts * NODES_PER_INST + 1,
@@ -558,43 +516,5 @@ def build_window_graph(result: SimResult, start: int, length: int,
     events = result.events[start:end]
     cols, seed = emit_edge_arrays(
         insts, events, result.config, breaks=model_taken_branch_breaks,
-        start=start, truncate=True, trace=result.trace)
+        start=start, trace=result.trace)
     return graph_from_arrays(len(insts), cols, seed)
-
-
-def emit_graph_segment(insts: Sequence, events: Sequence, cfg, start: int,
-                       model_taken_branch_breaks: bool = True,
-                       prev_inst=None, prev_event=None, trace=None):
-    """One global-indexed segment of the monolithic graph (for stitching).
-
-    The caller supplies the instruction before *start* as left context
-    (None at the very beginning); on the columnar path (*trace* given,
-    *events* a facade) the left context is read from the columns
-    instead.  The returned ``(columns, seed)`` block covers exactly the
-    edges whose destination instruction lies in
-    ``start .. start+len(insts)-1`` of the full build.
-    """
-    return emit_edge_arrays(
-        insts, events, cfg, breaks=model_taken_branch_breaks,
-        start=start, global_ids=True,
-        prev_inst=prev_inst, prev_event=prev_event, trace=trace)
-
-
-def stitch_graph(num_insts: int,
-                 segments: Sequence[Tuple[Dict[str, "np.ndarray"],
-                                          Optional[Tuple[int, int, int]]]]
-                 ) -> DependenceGraph:
-    """Concatenate consecutive :func:`emit_graph_segment` blocks.
-
-    Segments cover contiguous, disjoint instruction ranges in order, so
-    their destination-sorted edge columns concatenate into the global
-    CSR ordering directly; the result is bit-identical to the
-    monolithic build (pinned by ``tests/test_graph_builder_vectorized``).
-    """
-    cols = {
-        name: np.concatenate([seg[0][name] for seg in segments])
-        if segments else np.zeros(0, dtype=np.int64)
-        for name in EDGE_COLUMNS
-    }
-    seed = next((seg[1] for seg in segments if seg[1] is not None), None)
-    return graph_from_arrays(num_insts, cols, seed)

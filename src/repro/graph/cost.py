@@ -33,8 +33,8 @@ class GraphCostAnalyzer:
     cost reuse shared subsets across calls.
 
     *engine* selects how lengths are measured: an engine name
-    (``"naive"``, ``"batched"``, ``"parallel"``), an engine factory, or
-    a ready instance; ``None`` picks the default (batched) engine.
+    (``"naive"`` or ``"batched"``), an engine factory, or a ready
+    instance; ``None`` picks the default (batched) engine.
     """
 
     def __init__(self, graph: DependenceGraph, engine=None) -> None:
@@ -59,10 +59,10 @@ class GraphCostAnalyzer:
         return cached
 
     def prefetch(self, target_sets: Iterable[Iterable[Target]]) -> None:
-        """Measure many target sets at once (batch/parallel friendly).
+        """Measure many target sets at once (batch friendly).
 
-        Engines may evaluate the batch out of order, in parallel, or
-        with subset-reuse scheduling; results land in the same memo
+        Engines may evaluate the batch out of order or with subset-reuse
+        scheduling; results land in the same memo
         ``cost``/``cp_length`` read, so prefetching is purely an
         optimization.
         """

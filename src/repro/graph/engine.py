@@ -2,11 +2,11 @@
 
 An interaction-cost breakdown over *n* event groups needs ``2^n - 1``
 cost measurements (Section 2.3), and each one is a full longest-path
-sweep of the dependence graph.  This module provides three
-interchangeable engines behind one small interface, all bit-identical
-to the naive sweep of :func:`repro.graph.critical_path.longest_path`
-(the differential harness in ``tests/test_engine_differential.py``
-enforces that):
+sweep of the dependence graph.  This module provides two
+interchangeable engines behind one small interface, bit-identical
+to each other and to the naive sweep of
+:func:`repro.graph.critical_path.longest_path` (the differential
+harness in ``tests/test_engine_differential.py`` enforces that):
 
 ``naive``
     The reference oracle: one pure-Python CSR sweep per measurement,
@@ -30,17 +30,10 @@ enforces that):
     for that reuse within a byte budget, each as its dist vector plus
     the sparse set of edges whose latency differs from the base.
 
-``parallel``
-    A :mod:`concurrent.futures` process-pool fan-out over the
-    independent target sets of a power-set breakdown, with subset-reuse
-    scheduling (smaller subsets first, shared unions measured once) in
-    every worker.  Each worker holds its own ``batched`` engine; the
-    driver falls back to the local batched engine whenever a pool
-    cannot be created (restricted sandboxes, single-core containers
-    where it would not pay off anyway).
-
 Engines are selected through ``GraphCostAnalyzer(engine=...)`` or the
-``--engine {naive,batched,parallel}`` CLI flag.
+``--engine {naive,batched}`` CLI flag.  The process pools of the
+pipeline and the session share this module's worker-environment
+helpers (:func:`child_env`, :func:`apply_child_env`).
 """
 
 from __future__ import annotations
@@ -68,7 +61,7 @@ Target = Union[Category, EventSelection]
 Key = FrozenSet[Target]
 
 #: Engine names accepted by :func:`make_engine` and the CLI.
-ENGINE_NAMES = ("naive", "batched", "parallel")
+ENGINE_NAMES = ("naive", "batched")
 
 #: The engine :func:`make_engine` builds when none is named.
 DEFAULT_ENGINE = "batched"
@@ -159,7 +152,7 @@ class NaiveEngine:
             return [self.cp_length(key) for key in keys]
 
     def close(self) -> None:
-        """Engines own no resources by default; pools override this."""
+        """The oracle retains no measurement state."""
 
 
 class _State:
@@ -440,10 +433,8 @@ class BatchedEngine:
 
 
 # ----------------------------------------------------------------------
-# Process-pool fan-out
+# Pool worker environment
 # ----------------------------------------------------------------------
-
-_worker_engine: Optional[BatchedEngine] = None
 
 #: Environment that must survive into pool children.  ``fork`` children
 #: inherit the parent's environment for free, but ``spawn``/``forkserver``
@@ -477,7 +468,7 @@ def child_env() -> Dict[str, Optional[str]]:
 
 
 def apply_child_env(env: Optional[Dict[str, Optional[str]]],
-                    seed_tag: str = "pool", seed_index: int = 0) -> None:
+                    seed_tag: str = "pool") -> None:
     """Apply a parent environment snapshot inside a worker process.
 
     Re-arms every native kernel's load decision (so a child honours a
@@ -493,121 +484,13 @@ def apply_child_env(env: Optional[Dict[str, Optional[str]]],
     # the compile-at-most-once kernels must re-decide under the applied
     # environment, not under whatever this process saw at import time
     reset_all()
-    random.seed(derive_seed(seed_tag, seed_index))
-
-
-def _init_worker(graph: DependenceGraph,
-                 env: Optional[Dict[str, Optional[str]]] = None,
-                 counter=None) -> None:
-    """Build one batched engine per worker process (payload ships once)."""
-    global _worker_engine
-    index = 0
-    if counter is not None:
-        with counter.get_lock():
-            index = counter.value
-            counter.value += 1
-    apply_child_env(env, seed_tag="engine-pool", seed_index=index)
-    _worker_engine = BatchedEngine(graph)
-
-
-def _worker_cp_length(key: Key) -> int:
-    return _worker_engine.cp_length(key)
-
-
-class ParallelEngine:
-    """Fan the independent measurements of a breakdown across processes.
-
-    Single measurements and environments without working process pools
-    degrade gracefully to the local :class:`BatchedEngine` (which every
-    worker also runs internally, so results are identical by
-    construction -- and checked by the differential harness anyway).
-    """
-
-    name = "parallel"
-
-    def __init__(self, graph: DependenceGraph,
-                 idealizer: Optional[GraphIdealizer] = None,
-                 max_workers: Optional[int] = None) -> None:
-        self.graph = graph
-        self._local = BatchedEngine(graph, idealizer)
-        self._max_workers = max_workers
-        self._workers = 0
-        self._pool = None
-        self._pool_broken = False
-
-    @property
-    def idealizer(self) -> GraphIdealizer:
-        return self._local.idealizer
-
-    def cp_length(self, key: Iterable[Target]) -> int:
-        """Single measurements run locally; pools only pay off in batch."""
-        return self._local.cp_length(key)
-
-    def cp_lengths(self, keys: Sequence[Iterable[Target]]) -> List[int]:
-        """Fan a batch out across the worker pool, one graph per worker;
-        falls back to the local batched engine if the pool is unusable."""
-        keys = [frozenset(key) for key in keys]
-        pool = self._ensure_pool() if len(keys) > 1 else None
-        if pool is None:
-            obs.count("engine.parallel.fallback_local")
-            return self._local.cp_lengths(keys)
-        todo = sorted(set(keys), key=len)
-        with obs.span("engine.pool_dispatch", keys=len(todo),
-                      workers=self._workers):
-            obs.count("engine.parallel.pool_dispatch")
-            obs.observe("engine.batch_size", len(keys))
-            try:
-                chunk = max(1, len(todo) // (2 * self._workers))
-                lengths = dict(zip(todo, pool.map(_worker_cp_length, todo,
-                                                  chunksize=chunk)))
-            except Exception:
-                self.close()
-                self._pool_broken = True
-                obs.count("engine.parallel.pool_error")
-                return self._local.cp_lengths(keys)
-        return [lengths[key] for key in keys]
-
-    def _ensure_pool(self):
-        if self._pool is None and not self._pool_broken:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                workers = self._max_workers or min(8, os.cpu_count() or 1)
-                if workers < 2:
-                    self._pool_broken = True
-                    return None
-                import multiprocessing
-
-                counter = multiprocessing.Value("i", 0)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker,
-                    initargs=(self.graph, child_env(), counter))
-                self._workers = workers
-                obs.gauge("engine.pool.workers", workers)
-            except Exception:  # pragma: no cover - platform specific
-                self._pool_broken = True
-                self._pool = None
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down and drop local state."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self._local.close()
-
-    def __del__(self):  # pragma: no cover - interpreter shutdown order
-        try:
-            self.close()
-        except Exception:
-            pass
+    random.seed(derive_seed(seed_tag))
 
 
 #: Engine registry, by CLI/API name.
 ENGINES = {
     "naive": NaiveEngine,
     "batched": BatchedEngine,
-    "parallel": ParallelEngine,
 }
 
 

@@ -101,7 +101,7 @@ def node_id(seq: int, kind: NodeKind) -> int:
 
 
 #: List attribute -> column name in ``_col_arrays``.  For graphs
-#: assembled from arrays (vectorized build, stitched segments, cache
+#: assembled from arrays (vectorized build, window graphs, cache
 #: loads) the python lists are materialised lazily from these columns
 #: on first attribute access; array consumers (the batched engine, the
 #: idealizer, the artifact cache) go through :meth:`column_data` and
@@ -148,7 +148,7 @@ class DependenceGraph:
         self.seed_cat = NO_CATEGORY
         self.seed_val = 0
         # optional int64 column cache, populated when the graph was
-        # materialised from arrays (vectorized build, stitched segments,
+        # materialised from arrays (vectorized build, window graphs,
         # cache loads); see column_data
         self._col_arrays = None
 

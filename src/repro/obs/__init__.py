@@ -14,7 +14,7 @@ Enable collection to get:
   Chrome trace-event JSON that https://ui.perfetto.dev loads directly;
 - **counters / gauges / histograms / notes**
   (``obs.count("engine.batched.sweep.full")``,
-  ``obs.gauge("engine.pool.workers", 8)``,
+  ``obs.gauge("pipeline.jobs", 2)``,
   ``obs.observe("engine.batch_size", len(keys))``,
   ``obs.note("engine.native_kernel.status", reason)``);
 - a human-readable summary via

@@ -65,7 +65,6 @@ _PHASE_SPANS = {
     "sensitivity.sweep": "simulate",
     "graph.build": "build",
     "engine.cp_batch": "analyze",
-    "engine.pool_dispatch": "analyze",
     "breakdown.interaction": "analyze",
     "breakdown.powerset": "analyze",
     "breakdown.traditional": "analyze",
@@ -203,7 +202,7 @@ def build_manifest(command: str, session, result: Any,
         # the cost engine the run resolved to, not just the one named
         "engine": run_cfg.get("engine") or DEFAULT_ENGINE,
         "jobs": run_cfg.get("jobs"),
-        "windows": run_cfg.get("windows"),
+        # windows of the --approx mode (0 = exact)
         "approx": run_cfg.get("approx"),
     }
     if extra_run:

@@ -288,6 +288,19 @@ def _selfprofile_section(manifest: Dict[str, Any]) -> str:
             + "".join(rows) + "</table>")
 
 
+def _approx_windows(run: Dict[str, Any]) -> int:
+    """The ``--approx`` window count a run section records (0 = exact).
+
+    Older manifests recorded a ``windows`` count beside a boolean
+    ``approx``; windowed mode then needed both.
+    """
+    approx = run.get("approx")
+    if isinstance(approx, bool) or approx is None:
+        windows = run.get("windows") or 1
+        return windows if approx and windows > 1 else 0
+    return approx
+
+
 def _manifest_summary(manifest: Dict[str, Any]) -> str:
     meta, run = manifest["meta"], manifest["run"]
     rows = [
@@ -297,9 +310,9 @@ def _manifest_summary(manifest: Dict[str, Any]) -> str:
         ("config digest", run["config_digest"][:16]),
         ("trace fingerprint", (run.get("trace_fingerprint") or "-")[:16]),
         ("workload", str(run["config"].get("workload"))),
-        ("engine / jobs / windows",
+        ("engine / jobs / approx",
          f"{run.get('engine') or 'default'} / {run.get('jobs')}"
-         f" / {run.get('windows')}"),
+         f" / {_approx_windows(run)}"),
         ("host", meta["host"].get("hostname", "?")),
         ("wall", f"{manifest.get('perf', {}).get('wall_ms', 0):.0f} ms"),
     ]

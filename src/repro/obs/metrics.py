@@ -50,7 +50,7 @@ def derived_summary(collector: Collector) -> List[str]:
 
 
 def _pipeline_summary(collector: Collector) -> List[str]:
-    """Derived pipeline lines: cache warmth, hit rate, shard timing."""
+    """Derived pipeline lines: cache warmth, hit rate, window timing."""
     lines: List[str] = []
     state = collector.notes.get("pipeline.cache.state")
     art_hits = art_misses = 0.0
@@ -75,13 +75,13 @@ def _pipeline_summary(collector: Collector) -> List[str]:
         mean = total / count if count else 0.0
         windows = collector.gauges.get("pipeline.windows", built)
         jobs = collector.gauges.get("pipeline.jobs", 1)
-        lines.append(f"pipeline shards           : {_fmt(built)} window(s) "
+        lines.append(f"pipeline windows          : {_fmt(built)} window(s) "
                      f"built ({_fmt(windows)} configured, "
                      f"{_fmt(jobs)} job(s)), "
                      f"{mean:.1f} ms/window (min {lo:.1f}, max {hi:.1f})")
     util = collector.gauges.get("pipeline.shard_utilization")
     if util is not None:
-        lines.append(f"shard utilization         : {util:.0%}")
+        lines.append(f"window pool utilization   : {util:.0%}")
     fallback = collector.counter("pipeline.fallback_local")
     if fallback:
         lines.append(f"pipeline pool fallbacks   : {_fmt(fallback)} "

@@ -5,9 +5,9 @@ about parallel systems: a phase's measured duration says nothing about
 what shortening it would buy, because other work may run in parallel
 with it (``icost > 0``) or be forced to serialize around it
 (``icost < 0``).  Our analysis pipeline is now such a system -- pool
-workers emit graph shards while the parent waits, cache stores overlap
-analysis, and the flat ``--metrics`` phase totals cannot say which
-interaction bounds wall time.
+workers analyze ``--approx`` windows while the parent waits, cache
+stores overlap analysis, and the flat ``--metrics`` phase totals
+cannot say which interaction bounds wall time.
 
 This module closes the loop by *dogfooding* the cost model: the
 collector's finished span forest (every span carries sid/parent/pid/tid
@@ -35,9 +35,7 @@ collect segment (the pool span is split at the last worker's finish
 into *wait*, which costs nothing by itself, and *collect*).  A
 synthetic ``spawn`` segment covers each worker's lag between pool start
 and its first recorded span -- process spawn plus payload pickling,
-precisely the overhead the auto-pool heuristic
-(:data:`~repro.pipeline.runner.POOL_MIN_INSTS_PER_JOB`) exists to
-dodge.
+the overhead a pool has to earn back.
 
 With the main timeline tiling the measured run, the graph's critical
 path equals the wall time, ``cost(category)`` is the wall time saved by
@@ -80,9 +78,7 @@ CATEGORY_RULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("simulate", ("pipeline.simulate", "sim.", "workload.",
                   "session.sweep")),
     ("cache", ("pipeline.cache.",)),
-    ("stitch", ("pipeline.stitch",)),
-    ("build", ("pipeline.build", "pipeline.pool_build",
-               "pipeline.window_emit", "graph.build")),
+    ("build", ("pipeline.build", "graph.build")),
     ("analyze", ("pipeline.analyze", "pipeline.pool_analyze",
                  "pipeline.window_analyze", "engine.", "breakdown.",
                  "icost.", "profiler.", "multisim.", "sensitivity.")),
@@ -90,7 +86,7 @@ CATEGORY_RULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 
 #: Pool umbrella spans: their worker timelines fork from / join into
 #: them, and their own time splits into wait + collect at the join.
-POOL_SPAN_NAMES = ("pipeline.pool_build", "pipeline.pool_analyze")
+POOL_SPAN_NAMES = ("pipeline.pool_analyze",)
 
 #: Relative epsilon for serial/parallel classification: interactions
 #: within this fraction of the modeled total are timing noise, not

@@ -10,25 +10,22 @@ splits it into content-addressed stages:
     ``SimResult`` for this (workload, machine config) pair.
 
 ``build``
-    Constructs the dependence graph, optionally sharded into
-    ``windows`` contiguous segments fanned across a
-    ``ProcessPoolExecutor``.  In the default *exact* mode the segments
-    carry global node ids and one instruction of left context, so
-    stitching them back together reproduces the monolithic graph **bit
-    for bit** (the differential suite pins this); cross-window edges
-    are never truncated.  Built graphs are cached by content too, so a
+    Constructs the dependence graph with the one exact builder
+    (:meth:`repro.graph.builder.GraphBuilder.build`), bit-identical to
+    the monolithic path.  Built graphs are cached by content too, so a
     warm run skips this stage as well.
 
 ``analyze``
-    Answers cost/icost queries through the PR 1 engines on the stitched
-    graph -- or, in the opt-in *windowed* (bounded-error) mode, sums
-    per-window costs over truncated window graphs with
-    :class:`~repro.analysis.sampled.WindowedRun` border semantics
-    (cross-window producers become out-of-trace), trading a documented
-    small breakdown deviation for embarrassingly parallel window tasks
-    (see ``docs/PIPELINE.md`` for the error model).
+    Answers cost/icost queries through the cost engines on that graph
+    -- or, in the opt-in *windowed* (bounded-error) mode
+    (``approx=N``), sums per-window costs over N truncated window
+    graphs with :class:`~repro.analysis.sampled.WindowedRun` border
+    semantics (cross-window producers become out-of-trace), trading a
+    documented small breakdown deviation for window tasks that fan
+    across a process pool with ``jobs > 1`` (see ``docs/PIPELINE.md``
+    for the error model).
 
-Every stage publishes spans, cache hit/miss counters and shard
+Every stage publishes spans, cache hit/miss counters and window
 utilization through :mod:`repro.obs`, so ``--metrics`` explains where
 the time went and whether the cache was warm.
 """
@@ -38,24 +35,18 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.core.categories import canonical_target_keys, normalize_targets
 from repro.core.icost import Target
-from repro.graph.builder import (
-    GraphBuilder,
-    build_window_graph,
-    emit_graph_segment,
-    stitch_graph,
-)
+from repro.graph.builder import GraphBuilder, build_window_graph
 from repro.graph.cost import GraphCostAnalyzer
 from repro.graph.engine import DEFAULT_ENGINE, apply_child_env, child_env
 from repro.isa.trace import Trace
 from repro.pipeline.artifacts import ArtifactCache, graph_key, sim_key
 from repro.uarch.config import MachineConfig
-from repro.uarch.fastcore import simulate
-from repro.uarch.events import LazyEvents, SimResult
+from repro.uarch.events import SimResult
 
 
 #: Manifest phase of each pipeline stage span, consumed by
@@ -65,40 +56,25 @@ from repro.uarch.events import LazyEvents, SimResult
 STAGE_PHASES: Dict[str, str] = {
     "pipeline.simulate": "simulate",
     "pipeline.build": "build",
-    "pipeline.stitch": "build",
-    "pipeline.pool_build": "build",
-    "pipeline.window_emit": "build",
     "pipeline.analyze": "analyze",
     "pipeline.pool_analyze": "analyze",
     "pipeline.window_analyze": "analyze",
 }
-
-#: Auto-pool heuristic: the minimum projected instructions of work
-#: *per worker* below which a requested pool is skipped and the build
-#: runs in-process.  The fast simulator core (PR 6) shrank the
-#: simulate stage on the bench workloads from ~110ms to ~12ms, leaving
-#: traces this small losing more to worker spawn + result pickling
-#: than the sharded build saves -- the self-profile
-#: (:mod:`repro.obs.selfprof`) shows the spawn/collect interaction
-#: dominating the pool span on such runs.  Expressed in instructions,
-#: not milliseconds, so the decision is deterministic across hosts.
-POOL_MIN_INSTS_PER_JOB = 50_000
 
 
 @dataclass
 class PipelineOptions:
     """Knobs of one pipeline run (the CLI flags map onto these 1:1)."""
 
-    #: worker processes for sharded build / windowed analysis (1 = serial)
+    #: worker processes for the windowed analysis (1 = in-process)
     jobs: int = 1
-    #: contiguous windows the run is sharded into (1 = monolithic)
-    windows: int = 1
     #: artifact-cache directory; ``None`` consults ``$REPRO_CACHE_DIR``
     cache_dir: Optional[str] = None
     #: disable the artifact cache even if the environment configures one
     no_cache: bool = False
-    #: opt into the bounded-error windowed analysis mode (see docs)
-    approx: bool = False
+    #: windows of the bounded-error windowed analysis mode (see docs);
+    #: 0 (or 1) = the exact mode
+    approx: int = 0
     #: cost engine for the analyze stage; ``None`` = the default
     engine: Optional[str] = None
     #: simulator engine for the simulate stage; ``None`` consults
@@ -106,11 +82,6 @@ class PipelineOptions:
     sim_engine: Optional[str] = None
     #: model the one-cycle fetch break after taken branches
     model_taken_branch_breaks: bool = True
-    #: minimum instructions per worker for ``jobs > 1`` to actually
-    #: spawn a pool; ``None`` = :data:`POOL_MIN_INSTS_PER_JOB`, ``0`` =
-    #: always pool (the self-profile uses 0 so the pool it is asked to
-    #: profile really runs)
-    pool_threshold: Optional[int] = None
 
 
 @dataclass
@@ -124,9 +95,6 @@ class PipelineStats:
     windows: int = 1
     jobs: int = 1
     pooled: bool = False
-    #: ``jobs > 1`` was requested but the projected per-worker work was
-    #: too small to amortize pool spawn, so the build ran in-process
-    auto_inline: bool = False
     window_wall_ms: List[float] = field(default_factory=list)
 
 
@@ -153,7 +121,7 @@ def run_pipeline(trace: Trace, config: Optional[MachineConfig] = None,
     attributes the CLI reporting paths consume.  In exact mode (the
     default) it is a :class:`PipelineCostProvider` whose results are
     bit-identical to :func:`repro.analysis.graphsim.analyze_trace`; with
-    ``approx=True`` and more than one window it is a
+    ``approx`` of 2 or more windows it is a
     :class:`WindowedCostProvider` with the documented bounded error.
 
     *cache* injects an existing :class:`ArtifactCache` (the session
@@ -170,10 +138,9 @@ def run_pipeline(trace: Trace, config: Optional[MachineConfig] = None,
     cfg = config or MachineConfig()
     if cache is None:
         cache = open_cache(opts.cache_dir, opts.no_cache)
-    mode = "windowed" if (opts.approx and opts.windows > 1) else "exact"
-    with obs.span("pipeline.run", mode=mode, windows=opts.windows,
+    mode = "windowed" if opts.approx > 1 else "exact"
+    with obs.span("pipeline.run", mode=mode, approx=opts.approx,
                   jobs=opts.jobs, cache=cache.enabled):
-        obs.gauge("pipeline.windows", opts.windows)
         obs.gauge("pipeline.jobs", opts.jobs)
         if mode == "windowed":
             provider = _run_windowed(trace, cfg, opts, cache)
@@ -184,14 +151,13 @@ def run_pipeline(trace: Trace, config: Optional[MachineConfig] = None,
 
 
 # ----------------------------------------------------------------------
-# Exact mode: cached/sharded build of the monolithic graph
+# Exact mode: the cached build of the monolithic graph
 # ----------------------------------------------------------------------
 
 
 def _run_exact(trace: Trace, cfg: MachineConfig, opts: PipelineOptions,
                cache: ArtifactCache) -> "PipelineCostProvider":
-    stats = PipelineStats(mode="exact", windows=opts.windows,
-                          jobs=opts.jobs)
+    stats = PipelineStats(mode="exact", jobs=opts.jobs)
     # content keys exist to address the cache: with the cache disabled,
     # fingerprinting the whole trace would be pure overhead
     skey = gkey = None
@@ -206,18 +172,11 @@ def _run_exact(trace: Trace, cfg: MachineConfig, opts: PipelineOptions,
 
     result = None
     if graph is None or meta is None:
-        with obs.span("pipeline.simulate", insts=len(trace.insts)):
-            if cache.enabled:
-                result = cache.get_sim(skey, trace, cfg)
-                stats.sim_cached = result is not None
-            if result is None:
-                result = simulate(trace, config=cfg,
-                                  engine=opts.sim_engine)
-                cache.put_sim(skey, result)
+        result = _simulate_stage(trace, cfg, opts, cache, skey, stats)
         if graph is None:
-            with obs.span("pipeline.build", windows=opts.windows,
-                          jobs=opts.jobs):
-                graph = _build_sharded(result, opts, stats)
+            with obs.span("pipeline.build"):
+                graph = GraphBuilder(
+                    opts.model_taken_branch_breaks).build(result)
             cache.put_graph(gkey, graph)
         meta = {"cycles": result.cycles, "insts": len(result.trace.insts)}
         cache.put_json("meta", skey, meta)
@@ -228,6 +187,24 @@ def _run_exact(trace: Trace, cfg: MachineConfig, opts: PipelineOptions,
     return PipelineCostProvider(trace, cfg, graph, analyzer,
                                 int(meta["cycles"]), cache, skey, stats,
                                 result=result)
+
+
+def _simulate_stage(trace: Trace, cfg: MachineConfig, opts: PipelineOptions,
+                    cache: ArtifactCache, skey: Optional[str],
+                    stats: PipelineStats) -> SimResult:
+    """The run's simulation: the cached artifact, else a fresh one
+    (stored for the next run)."""
+    result = None
+    with obs.span("pipeline.simulate", insts=len(trace.insts)):
+        if cache.enabled:
+            result = cache.get_sim(skey, trace, cfg)
+            stats.sim_cached = result is not None
+        if result is None:
+            from repro.uarch.fastcore import simulate
+
+            result = simulate(trace, config=cfg, engine=opts.sim_engine)
+            cache.put_sim(skey, result)
+    return result
 
 
 def _cache_state(cache: ArtifactCache, stats: PipelineStats) -> str:
@@ -248,103 +225,10 @@ def _even_bounds(n: int, windows: int) -> List[Tuple[int, int]]:
     return [(s, min(s + step, n)) for s in range(0, n, step)]
 
 
-def _build_sharded(result: SimResult, opts: PipelineOptions,
-                   stats: PipelineStats):
-    """Exact graph build, sharded into windows across a process pool.
-
-    Falls back to the serial vectorized builder whenever sharding
-    cannot pay off (one window, one job, tiny traces, or an unusable
-    pool); either way the produced graph is bit-identical.
-    """
-    n = len(result.trace.insts)
-    builder = GraphBuilder(opts.model_taken_branch_breaks)
-    if opts.windows <= 1 or n < 2 * opts.windows:
-        return builder.build(result)
-    bounds = _even_bounds(n, opts.windows)
-    segments = None
-    if opts.jobs > 1 and len(bounds) > 1:
-        threshold = opts.pool_threshold
-        if threshold is None:
-            threshold = POOL_MIN_INSTS_PER_JOB
-        if n < threshold * opts.jobs:
-            # too little work per worker to amortize pool spawn: run
-            # the whole build in-process on the vectorized builder
-            obs.count("pipeline.auto_inline")
-            obs.note("pipeline.build.strategy",
-                     f"inline ({n} insts under the {threshold}/job "
-                     f"pool threshold)")
-            stats.auto_inline = True
-            return builder.build(result)
-        segments = _pool_segments(result, opts, bounds, stats)
-    if segments is None:
-        obs.count("pipeline.fallback_local")
-        segments = []
-        for start, end in bounds:
-            t0 = time.perf_counter()
-            segments.append(_emit_bounds(result, start, end,
-                                         opts.model_taken_branch_breaks))
-            _record_window(stats, (time.perf_counter() - t0) * 1000.0)
-    with obs.span("pipeline.stitch", segments=len(segments)):
-        return stitch_graph(n, segments)
-
-
-def _emit_bounds(result: SimResult, start: int, end: int, breaks: bool):
-    insts = result.trace.insts
-    events = result.events[start:end]
-    # columnar results carry their own left context (the facade's root
-    # columns); materializing prev_event here would be the one object
-    # the zero-materialization gate counts
-    columnar = isinstance(events, LazyEvents)
-    return emit_graph_segment(
-        insts[start:end], events, result.config, start,
-        model_taken_branch_breaks=breaks,
-        prev_inst=insts[start - 1] if start else None,
-        prev_event=(result.events[start - 1]
-                    if start and not columnar else None),
-        trace=result.trace)
-
-
 def _record_window(stats: PipelineStats, wall_ms: float) -> None:
     stats.window_wall_ms.append(wall_ms)
     obs.count("pipeline.window.built")
     obs.observe("pipeline.window_ms", wall_ms)
-
-
-def _pool_segments(result: SimResult, opts: PipelineOptions,
-                   bounds: Sequence[Tuple[int, int]],
-                   stats: PipelineStats):
-    """Emit the graph segments in a worker pool; None = use fallback."""
-    if (os.cpu_count() or 1) < 2:
-        return None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        t0 = time.perf_counter()
-        with obs.span("pipeline.pool_build", windows=len(bounds),
-                      jobs=opts.jobs) as pool_span:
-            with ProcessPoolExecutor(
-                    max_workers=opts.jobs,
-                    initializer=_init_pipeline_worker,
-                    initargs=(result, opts.model_taken_branch_breaks,
-                              opts.engine, child_env(),
-                              obs.enabled())) as pool:
-                out = list(pool.map(_segment_task, bounds))
-            _absorb_worker_exports((row[3] for row in out), pool_span)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    except Exception:
-        obs.count("pipeline.pool_error")
-        return None
-    segments = []
-    busy_ms = 0.0
-    for cols, seed, wall_ms, _export in out:
-        segments.append((cols, seed))
-        busy_ms += wall_ms
-        _record_window(stats, wall_ms)
-    stats.pooled = True
-    if elapsed_ms > 0:
-        obs.gauge("pipeline.shard_utilization",
-                  min(1.0, busy_ms / (opts.jobs * elapsed_ms)))
-    return segments
 
 
 # -- pool worker state (one SimResult shipped per worker) --------------
@@ -379,17 +263,6 @@ def _absorb_worker_exports(exports, pool_span) -> None:
     for export in exports:
         if export:
             collector.absorb(export, parent_sid=parent_sid)
-
-
-def _segment_task(span: Tuple[int, int]):
-    """Exact-mode worker: emit one global-id graph segment."""
-    result, breaks, _ = _worker_state
-    start, end = span
-    t0 = time.perf_counter()
-    with obs.span("pipeline.window_emit", start=start, end=end):
-        cols, seed = _emit_bounds(result, start, end, breaks)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return cols, seed, wall_ms, _drain_worker_spans()
 
 
 def _window_task(payload):
@@ -444,7 +317,7 @@ class PipelineCostProvider:
         self._result = result
 
     def cost(self, targets: Iterable[Target]) -> float:
-        """cost(S) = t - t(S) on the stitched monolithic graph."""
+        """cost(S) = t - t(S) on the monolithic graph."""
         return self._analyzer.cost(targets)
 
     def prefetch(self, target_sets: Iterable[Iterable[Target]]) -> None:
@@ -473,6 +346,8 @@ class PipelineCostProvider:
                 self._skey, self.trace, self.config) \
                 if self._cache.enabled else None
             if self._result is None:
+                from repro.uarch.fastcore import simulate
+
                 self._result = simulate(self.trace, config=self.config)
         return self._result
 
@@ -498,7 +373,7 @@ class WindowedCostProvider:
         self._opts = opts
         self.stats = stats
         n = len(result.trace.insts)
-        self._bounds = _even_bounds(n, opts.windows)
+        self._bounds = _even_bounds(n, opts.approx)
         stats.windows = len(self._bounds)
         obs.gauge("pipeline.windows", len(self._bounds))
         self._analyzers: List[Optional[GraphCostAnalyzer]] = \
@@ -612,20 +487,12 @@ class WindowedCostProvider:
 
 def _run_windowed(trace: Trace, cfg: MachineConfig, opts: PipelineOptions,
                   cache: ArtifactCache) -> WindowedCostProvider:
-    stats = PipelineStats(mode="windowed", windows=opts.windows,
-                          jobs=opts.jobs)
+    stats = PipelineStats(mode="windowed", jobs=opts.jobs)
     skey = sim_key(trace, cfg) if cache.enabled else None
-    result = None
-    with obs.span("pipeline.simulate", insts=len(trace.insts)):
-        if cache.enabled:
-            result = cache.get_sim(skey, trace, cfg)
-            stats.sim_cached = result is not None
-        if result is None:
-            result = simulate(trace, config=cfg, engine=opts.sim_engine)
-            cache.put_sim(skey, result)
-            cache.put_json("meta", skey, {
-                "cycles": result.cycles,
-                "insts": len(result.trace.insts)})
+    result = _simulate_stage(trace, cfg, opts, cache, skey, stats)
+    if not stats.sim_cached:
+        cache.put_json("meta", skey, {"cycles": result.cycles,
+                                      "insts": len(result.trace.insts)})
     stats.cache_state = "off" if not cache.enabled else (
         "warm" if stats.sim_cached else "cold")
     return WindowedCostProvider(result, opts, stats)

@@ -372,8 +372,6 @@ class SensitivityAnalysis(Analysis):
     """``sensitivity``: the Figure 3 window-size sweep."""
 
     name = "sensitivity"
-    # --windows here means *machine* window sizes (the Figure 3 sweep
-    # axis), so the pipeline sharding flag is omitted
     pipeline_args = "plain"
     extra_args = (
         Arg("--dl1", default="1,2,3,4",
@@ -497,7 +495,7 @@ class CriticalAnalysis(Analysis):
 
     name = "critical"
     engine_arg = True
-    pipeline_args = "windows"
+    pipeline_args = "cache"
     extra_args = (Arg("--top", type=int, default=10),)
     result_type = CriticalResult
 
@@ -507,8 +505,8 @@ class CriticalAnalysis(Analysis):
         from repro.graph.critical_path import edge_kind_profile
         from repro.graph.slack import top_critical_instructions
 
-        # critical needs the monolithic graph -- always exact mode
-        provider = session.provider(allow_approx=False)
+        # critical needs the monolithic graph: it declares no --approx
+        provider = session.provider()
         result = provider.result
         ranked = top_critical_instructions(
             provider.analyzer, range(len(result.events)), top=args.top)

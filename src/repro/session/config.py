@@ -2,7 +2,7 @@
 
 Before the session layer existed every frontend hand-plumbed the same
 knobs -- workload name, scale, seed, machine overrides, engine choice,
-pipeline sharding, cache directory -- through per-function keyword
+windowed mode, cache directory -- through per-function keyword
 arguments and argparse namespaces.  :class:`RunConfig` is the one
 place those knobs live: the CLI builds one from parsed arguments, a
 batch or server frontend builds one from a request payload, and both
@@ -63,16 +63,14 @@ class RunConfig:
     #: simulator engine (``auto``/``fast``/``reference``; ``None``
     #: consults ``$REPRO_SIM_ENGINE``, then defaults to ``auto``)
     sim_engine: Optional[str] = None
-    #: worker processes for sharded build / sweeps / pools
+    #: worker processes for the windowed analysis and the sweeps
     jobs: int = 1
-    #: contiguous windows the pipeline shards a run into
-    windows: int = 1
     #: artifact-cache directory; ``None`` consults ``$REPRO_CACHE_DIR``
     cache_dir: Optional[str] = None
     #: disable the artifact cache even if the environment configures one
     no_cache: bool = False
-    #: opt into the bounded-error windowed analysis mode
-    approx: bool = False
+    #: windows of the bounded-error windowed analysis mode (0 = exact)
+    approx: int = 0
     #: model the one-cycle fetch break after taken branches
     model_taken_branch_breaks: bool = True
 
@@ -86,20 +84,18 @@ class RunConfig:
 
     def pipeline_requested(self) -> bool:
         """Whether any pipeline knob (or the cache env default) is engaged."""
-        return bool(self.jobs > 1 or self.windows > 1 or self.approx
-                    or self.cache_dir or self.no_cache
+        return bool(self.approx or self.cache_dir or self.no_cache
                     or os.environ.get("REPRO_CACHE_DIR"))
 
-    def pipeline_options(self, allow_approx: bool = True):
+    def pipeline_options(self):
         """The :class:`repro.pipeline.PipelineOptions` this run maps to."""
         from repro.pipeline import PipelineOptions
 
         return PipelineOptions(
             jobs=self.jobs,
-            windows=self.windows,
             cache_dir=self.cache_dir,
             no_cache=self.no_cache,
-            approx=allow_approx and self.approx,
+            approx=self.approx,
             engine=self.engine,
             sim_engine=self.sim_engine,
             model_taken_branch_breaks=self.model_taken_branch_breaks)
@@ -113,9 +109,6 @@ class RunConfig:
         through this single constructor.
         """
         machine = machine_with_overrides(None, getattr(args, "set", None))
-        windows = getattr(args, "windows", 1)
-        if not isinstance(windows, int):
-            windows = 1  # e.g. sensitivity's machine window-size axis
         return cls(
             workload=getattr(args, "workload", None),
             scale=getattr(args, "scale", 1.0),
@@ -124,10 +117,9 @@ class RunConfig:
             engine=getattr(args, "engine", None),
             sim_engine=getattr(args, "sim_engine", None),
             jobs=getattr(args, "jobs", 1),
-            windows=windows,
             cache_dir=getattr(args, "cache_dir", None),
             no_cache=getattr(args, "no_cache", False),
-            approx=getattr(args, "approx", False))
+            approx=getattr(args, "approx", 0))
 
     def to_json(self) -> str:
         """A self-describing JSON document for this run configuration."""

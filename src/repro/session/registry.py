@@ -140,6 +140,18 @@ def all_analyses() -> List["Analysis"]:
     return [REGISTRY[name] for name in DECLARED]
 
 
+def _window_count(text: str) -> int:
+    """``--approx N``: a window count of at least 2, or 0 (exact)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value != 0 and value < 2:
+        raise argparse.ArgumentTypeError(
+            f"expects N >= 2 windows (or 0 for exact), got {text!r}")
+    return value
+
+
 class Analysis:
     """Base class: one registered analysis with a declarative CLI shape.
 
@@ -156,8 +168,9 @@ class Analysis:
     workload_arg: ClassVar[bool] = True
     #: add the --engine selector
     engine_arg: ClassVar[bool] = False
-    #: pipeline flag group: None, "plain" (no --windows), "windows",
-    #: or "approx" (windows + --approx)
+    #: pipeline flag group: None, "cache" (--cache-dir/--no-cache),
+    #: "plain" (cache + --jobs for sweeps), or "approx" (cache +
+    #: --jobs for the windows of --approx N)
     pipeline_args: ClassVar[Optional[str]] = None
     #: extra per-analysis arguments
     extra_args: ClassVar[Tuple[Arg, ...]] = ()
@@ -190,7 +203,7 @@ class Analysis:
                 "--set", action="append", metavar="KEY=VALUE",
                 help="override a MachineConfig field, e.g. "
                      "--set dl1_latency=4")
-            from repro.uarch.fastcore import SIM_ENGINE_NAMES
+            from repro.uarch.config import SIM_ENGINE_NAMES
 
             parser.add_argument(
                 "--sim-engine", choices=SIM_ENGINE_NAMES, default=None,
@@ -206,19 +219,24 @@ class Analysis:
             parser.add_argument(
                 "--engine", choices=ENGINE_NAMES, default=None,
                 help="cost engine for graph measurements: the naive "
-                     "reference sweep, the batched vectorized/"
-                     "incremental kernel, or the process-pool fan-out")
+                     "reference sweep or the batched vectorized/"
+                     "incremental kernel (default)")
         if self.pipeline_args is not None:
             group = parser.add_argument_group("pipeline (docs/PIPELINE.md)")
-            group.add_argument(
-                "--jobs", type=int, default=1, metavar="N",
-                help="worker processes for sharded build/analysis "
-                     "(default 1)")
-            if self.pipeline_args in ("windows", "approx"):
+            if self.pipeline_args != "cache":
+                pooled = ("the --approx windows"
+                          if self.pipeline_args == "approx"
+                          else "the simulation sweep")
                 group.add_argument(
-                    "--windows", type=int, default=1, metavar="N",
-                    help="shard the run into N contiguous windows "
-                         "(default 1; exact either way)")
+                    "--jobs", type=int, default=1, metavar="N",
+                    help=f"worker processes for {pooled} (default 1)")
+            if self.pipeline_args == "approx":
+                group.add_argument(
+                    "--approx", type=_window_count, default=0,
+                    metavar="N",
+                    help="bounded-error windowed analysis: sum the costs "
+                         "of N >= 2 truncated window graphs instead of "
+                         "measuring the exact graph (default: exact)")
             group.add_argument(
                 "--cache-dir", metavar="DIR", default=None,
                 help="content-addressed artifact cache directory "
@@ -227,12 +245,6 @@ class Analysis:
                 "--no-cache", action="store_true",
                 help="disable the artifact cache even if "
                      "$REPRO_CACHE_DIR is set")
-            if self.pipeline_args == "approx":
-                group.add_argument(
-                    "--approx", action="store_true",
-                    help="bounded-error windowed analysis: sum "
-                         "per-window costs over truncated window "
-                         "graphs instead of stitching an exact graph")
         for arg in self.extra_args:
             arg.add_to(parser)
 

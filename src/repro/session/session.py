@@ -21,7 +21,7 @@ repository grew one hand-wired copy of that loop per analysis.  An
   points across a process pool;
 - **provider construction**: :meth:`provider` routes through
   :func:`repro.pipeline.run_pipeline` whenever a pipeline knob is
-  engaged (sharded build, artifact cache, approx mode) and through the
+  engaged (artifact cache, approx mode) and through the
   classic monolithic graph path otherwise -- the exact logic the CLI
   used to own, now available to every caller;
 - **observability**: the session publishes ``session.*`` counters
@@ -45,13 +45,27 @@ from repro.core.categories import Category
 from repro.isa.trace import Trace
 from repro.session.config import RunConfig
 from repro.uarch.config import IdealConfig, MachineConfig
-from repro.uarch.fastcore import cycles_many as _cycles_many
-from repro.uarch.fastcore import simulate as _simulate
 from repro.uarch.events import SimResult
 
 #: One sweep point: a machine configuration, optionally paired with the
 #: set of categories to idealize (the multisim axis).
 SweepPoint = Union[MachineConfig, Tuple[MachineConfig, FrozenSet[Category]]]
+
+
+def _simulate(*args, **kwargs) -> SimResult:
+    """:func:`repro.uarch.fastcore.simulate`, imported on a miss: a run
+    served from the cache never loads a simulator core."""
+    from repro.uarch.fastcore import simulate
+
+    return simulate(*args, **kwargs)
+
+
+def _cycles_many(*args, **kwargs) -> List[int]:
+    """:func:`repro.uarch.fastcore.cycles_many`, imported by the sweep
+    that needs it."""
+    from repro.uarch.fastcore import cycles_many
+
+    return cycles_many(*args, **kwargs)
 
 
 def _ideal_key(ideal) -> FrozenSet[Category]:
@@ -359,8 +373,7 @@ class AnalysisSession:
 
     # -- provider construction ------------------------------------------
 
-    def provider(self, allow_approx: bool = True,
-                 trace: Optional[Trace] = None):
+    def provider(self, trace: Optional[Trace] = None):
         """The cost provider behind breakdown/matrix/critical.
 
         Plain runs take the monolithic path; any pipeline knob in
@@ -377,8 +390,7 @@ class AnalysisSession:
             # pass this session's cache object through so concurrent
             # sessions built over one SessionManager share an instance
             return run_pipeline(trace, config=self.machine,
-                                options=self.run.pipeline_options(
-                                    allow_approx),
+                                options=self.run.pipeline_options(),
                                 cache=self.cache)
         from repro.analysis.graphsim import analyze_trace
 

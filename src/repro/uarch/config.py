@@ -8,6 +8,12 @@ from typing import Dict, Tuple
 
 from repro.isa.instructions import OpClass
 
+#: Simulator engine names accepted by :func:`repro.uarch.fastcore.simulate`
+#: and the ``--sim-engine`` CLI flag (declared here, with the rest of the
+#: machine configuration, so the CLI can list them without loading a
+#: simulator core).
+SIM_ENGINE_NAMES = ("auto", "fast", "reference")
+
 
 class FUKind(enum.Enum):
     """Functional-unit pools of the simulated core (Table 6)."""

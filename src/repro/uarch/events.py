@@ -243,8 +243,8 @@ class LazyEvents:
 
     def __reduce__(self):
         # pool workers receive the matrix, never an object list; the
-        # root/offset relationship survives so shards keep their one
-        # instruction of columnar left context
+        # root/offset relationship survives, so a slice stays a view
+        # of its root
         if self.root is self.columns:
             return (LazyEvents, (self.columns,))
         return (LazyEvents, (self.columns, self.root, self.offset))

@@ -49,12 +49,15 @@ import repro.obs as obs
 from repro.isa.instructions import OpClass, Opcode
 from repro.isa.trace import Trace
 from repro.native import NativeKernel, i64_ptr as _ptr
-from repro.uarch.config import OPCLASS_TO_FU, FUKind, IdealConfig, MachineConfig
+from repro.uarch.config import (
+    OPCLASS_TO_FU,
+    SIM_ENGINE_NAMES,
+    FUKind,
+    IdealConfig,
+    MachineConfig,
+)
 from repro.uarch.core import _HUGE, SimulationError
 from repro.uarch.events import EVENT_FIELDS, EventColumns, SimResult
-
-#: Engine names accepted by :func:`simulate` and the ``--sim-engine`` CLI flag.
-SIM_ENGINE_NAMES = ("auto", "fast", "reference")
 
 
 def resolve_sim_engine(engine: Optional[str] = None) -> str:

@@ -9,9 +9,9 @@ Two contracts of docs/ARCHITECTURE.md ("Columnar data plane"):
   indexing, slicing, iteration, equality, pickling, ``event_counts``),
   pinned over a fuzz grid of seeded stress programs x machines.
 - **Columnar emit differential**: ``emit_edge_arrays`` consuming the
-  matrix directly (whole-run, truncating window, global-id segment)
-  must produce bit-identical graphs to the object-path fallback fed
-  materialized ``InstEvents`` lists, across WindowedRun border cases.
+  matrix directly (whole run or truncating window) must produce
+  bit-identical graphs to the object-path fallback fed materialized
+  ``InstEvents`` lists, across WindowedRun border cases.
 
 The ``sim.events_materialized`` accounting is pinned here too: only
 deliberate per-object access pays it, and the hot path never does
@@ -31,8 +31,8 @@ from repro.analysis.sampled import WindowedRun
 from repro.graph.builder import (
     GraphBuilder,
     build_window_graph,
-    emit_graph_segment,
-    stitch_graph,
+    emit_edge_arrays,
+    graph_from_arrays,
 )
 from repro.uarch import core
 from repro.uarch.config import MachineConfig
@@ -181,34 +181,28 @@ class TestWindowedEmitDifferential:
             ref = loop.build(WindowedRun(run, start, length))
             assert_graphs_identical(fast, ref), (start, length)
 
-    def test_segment_emit_columnar_vs_object(self, run):
-        """The global-id segment shape: LazyEvents + inst column block
-        vs the object fallback fed materialized lists, stitched."""
+    def test_window_emit_columnar_vs_object(self, run):
+        """The same emitter over the same windows, fed the LazyEvents
+        facade + inst column block vs materialized ``InstEvents``."""
         n = len(run.events)
-        bounds = sorted({0, 1, n // 4, n // 2, n - 2, n})
         eager = list(run.events)  # object path input, built once
-        columnar = []
-        objects = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            columnar.append(emit_graph_segment(
-                run.trace.insts[s:e], run.events[s:e], run.config, s,
-                prev_inst=run.trace.insts[s - 1] if s else None,
-                trace=run.trace))
-            objects.append(emit_graph_segment(
-                run.trace.insts[s:e], eager[s:e], run.config, s,
-                prev_inst=run.trace.insts[s - 1] if s else None,
-                prev_event=eager[s - 1] if s else None))
-        assert_graphs_identical(stitch_graph(n, columnar),
-                                stitch_graph(n, objects))
+        for start, length in self._border_spans(n):
+            end = min(start + length, n)
+            insts = run.trace.insts[start:end]
+            columnar = emit_edge_arrays(insts, run.events[start:end],
+                                        run.config, start=start,
+                                        trace=run.trace)
+            objects = emit_edge_arrays(insts, eager[start:end],
+                                       run.config, start=start)
+            assert_graphs_identical(
+                graph_from_arrays(len(insts), *columnar),
+                graph_from_arrays(len(insts), *objects)), (start, length)
 
-    def test_segment_emit_materializes_nothing(self, run):
+    def test_window_emit_materializes_nothing(self, run):
         n = len(run.events)
         collector = obs.enable()
         try:
-            emit_graph_segment(run.trace.insts[1:n], run.events[1:n],
-                               run.config, 1,
-                               prev_inst=run.trace.insts[0],
-                               trace=run.trace)
+            build_window_graph(run, 1, n - 1)
         finally:
             obs.disable()
         assert collector.counter("sim.events_materialized") == 0

@@ -1,13 +1,12 @@
 """Differential harness: every cost engine vs the naive oracle.
 
-The batched/incremental/parallel engines of :mod:`repro.graph.engine`
-promise *bit-identical* results to the naive pure-Python
+The batched/incremental engine of :mod:`repro.graph.engine`
+promises *bit-identical* results to the naive pure-Python
 ``longest_path`` sweep -- not approximately equal, identical.  This
 suite enforces the promise over hypothesis-generated random programs
 and the registered workload suite, for every target set in a
 three-category power set, through every engine configuration
-(C kernel, pure-Python fallback, forced worklist incremental,
-process-pool fan-out).
+(C kernel, pure-Python fallback, forced worklist incremental).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.graph.engine import (
     DEFAULT_ENGINE,
     ENGINE_NAMES,
     BatchedEngine,
-    ParallelEngine,
     make_engine,
 )
 from repro.uarch import simulate
@@ -54,7 +52,6 @@ ENGINE_FACTORIES = {
     "batched": BatchedEngine,
     "batched-pure-python": lambda g, i: BatchedEngine(g, i, native=False),
     "batched-worklist": _forced_worklist,
-    "parallel": lambda g, i: ParallelEngine(g, i, max_workers=2),
 }
 
 
@@ -196,6 +193,7 @@ class TestEngineMachinery:
             assert engine.name == name
             engine.close()
         assert DEFAULT_ENGINE == "batched"
+        assert ENGINE_NAMES == ("naive", "batched")
         assert isinstance(make_engine(None, graph), BatchedEngine)
         with pytest.raises(ValueError):
             make_engine("warp-drive", graph)
@@ -239,12 +237,3 @@ class TestEngineMachinery:
         assert warmed.measurements == len(POWER_SET) + 1  # + baseline
         for key in POWER_SET:
             assert plain.cp_length(key) == warmed.cp_length(key)
-
-    def test_parallel_engine_survives_broken_pool(self):
-        graph = small_graph(4)
-        engine = ParallelEngine(graph, max_workers=2)
-        engine._pool_broken = True  # simulate a sandboxed environment
-        oracle = GraphCostAnalyzer(graph, engine="naive")
-        lengths = engine.cp_lengths(POWER_SET)
-        assert lengths == [oracle.cp_length(k) for k in POWER_SET]
-        engine.close()

@@ -1,13 +1,11 @@
-"""The vectorized builder and segment emission are bit-identical.
+"""The vectorized builder and window emission are bit-identical.
 
-Three differentials against the reference ``GraphBuilder._build`` loop
+Two differentials against the reference ``GraphBuilder._build`` loop
 (docs/PIPELINE.md "Stages"):
 
 - monolithic: ``vectorized=True`` vs ``vectorized=False``;
 - windowed: :func:`build_window_graph` vs the loop builder over a
-  :class:`~repro.analysis.sampled.WindowedRun` (truncating borders);
-- stitched: global-id segments concatenated by :func:`stitch_graph`
-  vs the single-pass monolithic graph.
+  :class:`~repro.analysis.sampled.WindowedRun` (truncating borders).
 
 "Bit-identical" means every edge array, the CSR, and the seed -- not
 just the resulting costs.
@@ -22,8 +20,6 @@ from repro.graph.builder import (
     GraphBuilder,
     build_graph,
     build_window_graph,
-    emit_graph_segment,
-    stitch_graph,
 )
 from repro.uarch import MachineConfig, simulate
 from repro.workloads import get_workload
@@ -82,24 +78,3 @@ class TestWindowed:
             ref = loop.build(WindowedRun(run, start, length))
             assert_graphs_identical(fast, ref)
 
-
-class TestStitched:
-    def test_uneven_segments_match_monolithic(self, run):
-        n = len(run.events)
-        bounds = sorted({0, 1, n // 5, n // 3, n // 2, n - 3, n - 1, n})
-        segments = [
-            emit_graph_segment(run.trace.insts[s:e], run.events[s:e],
-                               run.config, s,
-                               prev_inst=run.trace.insts[s - 1] if s else None,
-                               prev_event=run.events[s - 1] if s else None)
-            for s, e in zip(bounds[:-1], bounds[1:])
-        ]
-        stitched = stitch_graph(n, segments)
-        assert_graphs_identical(stitched,
-                                GraphBuilder(vectorized=False).build(run))
-
-    def test_single_segment_is_monolithic(self, run):
-        n = len(run.events)
-        seg = emit_graph_segment(run.trace.insts, run.events, run.config, 0)
-        assert_graphs_identical(stitch_graph(n, [seg]),
-                                GraphBuilder(vectorized=False).build(run))

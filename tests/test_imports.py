@@ -56,6 +56,9 @@ def test_warm_breakdown_loads_no_trace_generator(tmp_path):
     assert not [m for m in FOREIGN if m in loaded]
     assert "repro.isa.executor" not in loaded
     assert "repro.workloads.spec" not in loaded
+    # nothing simulates, so no simulator core is loaded either
+    assert "repro.uarch.fastcore" not in loaded
+    assert "repro.uarch.core" not in loaded
 
 
 def test_building_the_parser_imports_no_implementation():

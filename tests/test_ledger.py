@@ -510,6 +510,43 @@ class TestCliEndToEnd:
             main(["ledger", "report", "--ledger-dir", str(ledger_dir),
                   "--html", str(html)])
 
+    def test_old_layout_manifests_list_diff_and_render(self, tmp_path,
+                                                       capsys):
+        """Manifests recorded before ``--approx N`` (a ``windows`` count
+        beside a boolean ``approx``) still list, diff and render next to
+        a current one."""
+        ledger = RunLedger(str(tmp_path / "ledger"))
+        old_run = {"engine": "batched", "jobs": 2, "windows": 4,
+                   "approx": True}
+        for run_id in ("aaaa00000001", "bbbb00000002"):
+            manifest = _toy_manifest(run_id=run_id,
+                                     metrics={"breakdown.dl1_pp": 20.0})
+            manifest["run"].update(old_run)
+            manifest["run"]["config"].update(windows=4, approx=True)
+            ledger.append(manifest)
+        exact = _toy_manifest(run_id="cccc00000003", digest="f" * 64,
+                              metrics={"breakdown.dl1_pp": 20.0})
+        exact["run"].update(engine="batched", jobs=1, approx=0)
+        ledger.append(exact)
+        ledger_dir = str(tmp_path / "ledger")
+        capsys.readouterr()
+        assert main(["ledger", "list", "--ledger-dir", ledger_dir]) == 0
+        listed = capsys.readouterr().out
+        assert "aaaa00000001" in listed and "cccc00000003" in listed
+        assert main(["ledger", "diff", "aaaa", "bbbb",
+                     "--ledger-dir", ledger_dir]) == 0
+        assert "configs are identical" in capsys.readouterr().out
+        assert main(["ledger", "diff", "bbbb", "cccc",
+                     "--ledger-dir", ledger_dir]) == 0
+        assert "configs DIFFER" in capsys.readouterr().out
+        html = tmp_path / "report.html"
+        assert main(["ledger", "report", "--ledger-dir", ledger_dir,
+                     "--html", str(html)]) == 0
+        page = html.read_text()
+        assert "engine / jobs / approx" in page
+        assert "batched / 2 / 4" in page     # old layout: 4 windows
+        assert "batched / 1 / 0" in page     # current layout: exact
+
     def test_disabled_ledger_list_renders_guidance(self, capsys):
         assert main(["ledger", "list"]) == 0
         assert "disabled" in capsys.readouterr().out

@@ -212,7 +212,7 @@ class TestExportAbsorb:
     def _worker_like(self):
         """A collector standing in for a pool worker's."""
         w = Collector()
-        with w.span("pipeline.window_emit", {"start": 0}):
+        with w.span("pipeline.window_analyze", {"start": 0}):
             with w.span("graph.build", {}):
                 pass
         w.count("pipeline.window.built", 2)
@@ -225,15 +225,16 @@ class TestExportAbsorb:
         w = self._worker_like()
         export = w.export_spans()
         parent = Collector()
-        with parent.span("pipeline.pool_build", {}) as pool:
+        with parent.span("pipeline.pool_analyze", {}) as pool:
             pass
         absorbed = parent.absorb(export, parent_sid=pool.sid)
         assert absorbed == 2
         by_name = {s[0]: s for s in parent.spans}
         # worker top-level span reparented under the pool span; the
         # worker-internal nesting is preserved through the sid remap
-        assert by_name["pipeline.window_emit"][6] == pool.sid
-        assert by_name["graph.build"][6] == by_name["pipeline.window_emit"][5]
+        assert by_name["pipeline.window_analyze"][6] == pool.sid
+        assert by_name["graph.build"][6] == \
+            by_name["pipeline.window_analyze"][5]
         # sids were remapped into the parent's id space (all distinct)
         sids = [s[5] for s in parent.spans]
         assert len(set(sids)) == 3

@@ -88,10 +88,10 @@ class TestMultiThreadSpans:
 class TestCrossProcessMerge:
     def test_absorbed_worker_spans_keep_their_pid_and_get_a_track(self):
         parent = Collector()
-        with parent.span("pipeline.pool_build", {}) as pool:
+        with parent.span("pipeline.pool_analyze", {}) as pool:
             pass
         worker = Collector()
-        with worker.span("pipeline.window_emit", {}):
+        with worker.span("pipeline.window_analyze", {}):
             pass
         export = worker.export_spans()
         export["pid"] = 4242  # simulate a different process
@@ -104,8 +104,8 @@ class TestCrossProcessMerge:
         worker_meta = next(m for m in metas if m["pid"] == 4242)
         assert "worker" in worker_meta["args"]["name"]
         spans = {e["name"]: e for e in events if e["ph"] == "X"}
-        assert spans["pipeline.pool_build"]["pid"] == parent.pid
-        assert spans["pipeline.window_emit"]["pid"] == 4242
+        assert spans["pipeline.pool_analyze"]["pid"] == parent.pid
+        assert spans["pipeline.window_analyze"]["pid"] == 4242
         json.loads(dumps(parent))  # still a loadable trace document
 
 

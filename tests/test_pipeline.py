@@ -1,10 +1,12 @@
 """The segmented pipeline and its content-addressed artifact cache.
 
-Covers the contracts of docs/PIPELINE.md: the exact sharded path is
+Covers the contracts of docs/PIPELINE.md: the exact path is
 bit-identical to the monolithic one, the windowed mode stays inside
-its error budget, cache keys miss on *any* input change, warm runs
-skip simulate and build (verified through the obs counters), and pool
-workers inherit the parent's engine environment deterministically.
+its error budget and its pool changes no number (and falls back
+in-process when the pool breaks), cache keys miss on *any* input
+change, warm runs skip simulate and build (verified through the obs
+counters), and pool workers inherit the parent's engine environment
+deterministically.
 """
 
 import os
@@ -60,10 +62,9 @@ class TestExactPipeline:
         for combo in COMBOS:
             assert provider.cost(combo) == monolithic.cost(combo)
 
-    def test_sharded_build_is_bit_identical(self, gcc_setup, monolithic):
+    def test_exact_graph_is_bit_identical(self, gcc_setup, monolithic):
         trace, cfg = gcc_setup
-        provider = run_pipeline(trace, cfg, PipelineOptions(
-            jobs=2, windows=4, pool_threshold=0))
+        provider = run_pipeline(trace, cfg, PipelineOptions(no_cache=True))
         g, m = provider.graph, monolithic.graph
         assert g.edge_src == m.edge_src
         assert g.edge_kind == m.edge_kind
@@ -76,8 +77,7 @@ class TestExactPipeline:
 
     def test_full_breakdown_identical(self, gcc_setup, monolithic):
         trace, cfg = gcc_setup
-        provider = run_pipeline(trace, cfg, PipelineOptions(
-            jobs=2, windows=8, pool_threshold=0))
+        provider = run_pipeline(trace, cfg, PipelineOptions(no_cache=True))
         ref = full_interaction_breakdown(monolithic, CATS)
         got = full_interaction_breakdown(provider, CATS)
         for a, b in zip(ref.entries, got.entries):
@@ -85,51 +85,11 @@ class TestExactPipeline:
                 (b.label, b.cycles, b.percent)
 
 
-class TestAutoPoolHeuristic:
-    """``jobs > 1`` on a small trace must inline, not pool: the fast
-    simulator left per-shard work too small to amortize pool spawn."""
-
-    def test_small_trace_inlines_and_stays_identical(
-            self, gcc_setup, monolithic):
-        trace, cfg = gcc_setup  # ~10k insts: far under 50k/job
-        collector = obs.enable()
-        try:
-            provider = run_pipeline(trace, cfg, PipelineOptions(
-                jobs=2, windows=4))
-        finally:
-            obs.disable()
-        assert provider.stats.auto_inline
-        assert not provider.stats.pooled
-        assert collector.counter("pipeline.auto_inline") == 1
-        assert "inline" in collector.notes["pipeline.build.strategy"]
-        # no sharding happened at all: the monolithic vectorized build
-        assert "pipeline.stitch" not in collector.span_names()
-        for combo in COMBOS:
-            assert provider.cost(combo) == monolithic.cost(combo)
-
-    def test_zero_threshold_forces_the_sharded_path(self, gcc_setup):
-        trace, cfg = gcc_setup
-        collector = obs.enable()
-        try:
-            provider = run_pipeline(trace, cfg, PipelineOptions(
-                jobs=2, windows=4, pool_threshold=0))
-        finally:
-            obs.disable()
-        assert not provider.stats.auto_inline
-        assert "pipeline.stitch" in collector.span_names()
-
-    def test_jobs_1_is_not_affected(self, gcc_setup):
-        trace, cfg = gcc_setup
-        provider = run_pipeline(trace, cfg, PipelineOptions(windows=4))
-        assert not provider.stats.auto_inline
-
-
 def test_windowed_mode_bounded_error(gcc_setup, monolithic):
     """--approx at realistic window sizes (>= ~1500 insts) keeps every
     CPI-breakdown entry within 2 percentage points of exact mode."""
     trace, cfg = gcc_setup
-    provider = run_pipeline(trace, cfg, PipelineOptions(
-        windows=8, approx=True))
+    provider = run_pipeline(trace, cfg, PipelineOptions(approx=8))
     assert provider.stats.mode == "windowed"
     assert provider.total == monolithic.total
     ref = full_interaction_breakdown(monolithic, CATS)
@@ -139,11 +99,54 @@ def test_windowed_mode_bounded_error(gcc_setup, monolithic):
         assert abs(a.percent - b.percent) < 2.0, a.label
 
 
+def _rows(provider):
+    bd = interaction_breakdown(provider, focus=Category.DL1, workload="gcc")
+    return [(e.label, e.cycles, e.percent) for e in bd.entries]
+
+
+class TestApproxPool:
+    """The windowed mode's process pool: the one pipeline pool."""
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="a pool needs two CPUs")
+    def test_pooled_windows_match_in_process(self, gcc_setup):
+        trace, cfg = gcc_setup
+        inline = run_pipeline(trace, cfg, PipelineOptions(approx=8))
+        pooled = run_pipeline(trace, cfg, PipelineOptions(approx=8, jobs=2))
+        assert _rows(pooled) == _rows(inline)
+        assert pooled.stats.pooled
+        assert not inline.stats.pooled
+
+    def test_pool_failure_falls_back_in_process(self, gcc_setup,
+                                                 monkeypatch):
+        import concurrent.futures
+
+        def broken_pool(*args, **kwargs):
+            raise OSError("injected: no process pool")
+
+        trace, cfg = gcc_setup
+        inline = _rows(run_pipeline(trace, cfg, PipelineOptions(approx=8)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            broken_pool)
+        collector = obs.enable()
+        try:
+            provider = run_pipeline(trace, cfg,
+                                    PipelineOptions(approx=8, jobs=2))
+            rows = _rows(provider)
+        finally:
+            obs.disable()
+        assert rows == inline
+        assert not provider.stats.pooled
+        assert collector.counter("pipeline.pool_error") == 1
+        assert collector.counter("pipeline.fallback_local") == 1
+
+
 class TestArtifactCache:
     def test_cold_then_warm_skips_simulate_and_build(
             self, gcc_setup, monolithic, tmp_path):
         trace, cfg = gcc_setup
-        opts = PipelineOptions(windows=4, cache_dir=str(tmp_path))
+        opts = PipelineOptions(cache_dir=str(tmp_path))
 
         cold = run_pipeline(trace, cfg, opts)
         assert cold.stats.cache_state == "cold"
@@ -171,7 +174,7 @@ class TestArtifactCache:
         the event matrix, so not a single ``InstEvents`` object may be
         materialized (CI greps the same counter out of the CLI runs)."""
         trace, cfg = gcc_setup
-        opts = PipelineOptions(jobs=2, windows=4, cache_dir=str(tmp_path))
+        opts = PipelineOptions(cache_dir=str(tmp_path))
         for expected_state in ("cold", "warm"):
             collector = obs.enable()
             try:
@@ -319,16 +322,16 @@ class TestCliPipeline:
 
     def test_parallel_flags_leave_numbers_unchanged(self, run):
         __, plain = run("breakdown", "gzip", "--scale", "0.3",
-                        "--focus", "dl1")
+                        "--focus", "dl1", "--approx", "4", "--no-cache")
         code, piped = run("breakdown", "gzip", "--scale", "0.3",
-                          "--focus", "dl1", "--jobs", "2", "--windows", "4",
+                          "--focus", "dl1", "--approx", "4", "--jobs", "2",
                           "--no-cache")
         assert code == 0
         assert [ln for ln in plain.splitlines() if "%" in ln] == \
             [ln for ln in piped.splitlines() if "%" in ln]
 
     def test_cache_warms_across_runs(self, run, tmp_path):
-        args = ("breakdown", "gzip", "--scale", "0.3", "--windows", "2",
+        args = ("breakdown", "gzip", "--scale", "0.3",
                 "--cache-dir", str(tmp_path), "--metrics")
         code, cold = run(*args)
         assert code == 0
@@ -339,6 +342,10 @@ class TestCliPipeline:
 
     def test_approx_mode_runs(self, run):
         code, out = run("breakdown", "gzip", "--scale", "0.3",
-                        "--approx", "--windows", "2", "--no-cache")
+                        "--approx", "2", "--no-cache")
         assert code == 0
         assert "Total" in out
+
+    def test_approx_rejects_a_single_window(self, run):
+        with pytest.raises(SystemExit):
+            run("breakdown", "gzip", "--scale", "0.3", "--approx", "1")

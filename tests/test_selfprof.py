@@ -45,8 +45,8 @@ class TestCategoryRules:
         assert category_of("sim.run") == "simulate"
         assert category_of("pipeline.simulate") == "simulate"
         assert category_of("pipeline.cache.load") == "cache"
-        assert category_of("pipeline.stitch") == "stitch"
-        assert category_of("pipeline.pool_build") == "build"
+        assert category_of("pipeline.build") == "build"
+        assert category_of("pipeline.pool_analyze") == "analyze"
         assert category_of("pipeline.window_analyze") == "analyze"
         assert category_of("engine.cp_batch") == "analyze"
 
@@ -167,19 +167,18 @@ class TestPoolLowering:
     """Fork/join, spawn lag, and wait/collect splitting of pool spans."""
 
     def _pool_collector(self):
-        """main: sim [0,10), pool_build [10,30) with a nested cache
-        store [14,20), analyze [30,40); worker (pid 2000): one
-        window_emit [12,28) parented under the pool span."""
+        """main: sim [0,10), pool_analyze [10,30) with a nested cache
+        store [14,20), analyze [30,40); worker (pid 2000): one window
+        graph build [12,28) parented under the pool span."""
         return collector_with(
             rec("sim.run", 0, 10, tid=1, sid=1),
-            rec("pipeline.pool_build", 10, 20, tid=1, sid=2),
+            rec("pipeline.pool_analyze", 10, 20, tid=1, sid=2),
             rec("pipeline.cache.store", 14, 6, tid=1, sid=3, parent=2),
             rec("pipeline.analyze", 30, 10, tid=1, sid=4),
-            rec("pipeline.window_emit", 12, 16, tid=9, sid=5, parent=2,
-                pid=2000))
+            rec("graph.build", 12, 16, tid=9, sid=5, parent=2, pid=2000))
 
     def test_critical_path_equals_the_span_extent(self):
-        """The worker chain (fork at 10, 2 ms spawn, 16 ms emit, join
+        """The worker chain (fork at 10, 2 ms spawn, 16 ms build, join
         into collect at 28) stretches the schedule to the full 40 ms
         even though the pool's own wait carries no latency."""
         profile = self_profile(self._pool_collector())
@@ -190,13 +189,14 @@ class TestPoolLowering:
     def test_wait_spawn_and_collect_segments(self):
         _graph, groups, segments = build_span_graph(self._pool_collector())
         names = [s.name for s in segments]
-        assert "pipeline.pool_build (wait)" in names
-        assert "pipeline.pool_build (spawn)" in names
+        assert "pipeline.pool_analyze (wait)" in names
+        assert "pipeline.pool_analyze (spawn)" in names
         # the pool span's tail past the workers' finish is the collect
-        # slot and keeps the pool's own (build) category
+        # slot and keeps the pool's own (analyze) category, not the
+        # workers' (build)
         tail = next(s for s in segments if s.start == int(28 * 1e6)
                     and s.owner_sid == 2)
-        assert tail.category == "build"
+        assert tail.category == "analyze"
         assert "spawn" in groups and len(groups["spawn"]) == 1
         # wait slots are untagged: idealizing them must never shorten
         # the schedule (the fork/join path carries the workers' time)
@@ -205,18 +205,18 @@ class TestPoolLowering:
 
     def test_hand_computed_costs(self):
         """cost(spawn) = 2 ms (pure overhead on the critical worker
-        chain); cost(cache) = 0 (hidden under the worker emit);
-        cost(build) = 14 (removing emit+collect leaves the main chain
-        sim + cache + analyze = 26)."""
+        chain); cost(cache) = 0 (hidden under the worker build);
+        cost(build) = 12 (removing the worker build leaves the main
+        chain sim + cache = 16 ahead of collect + analyze = 12)."""
         profile = self_profile(self._pool_collector())
         assert row(profile, "spawn").ms == pytest.approx(2.0)
         assert row(profile, "cache").ms == pytest.approx(0.0)
-        assert row(profile, "build").ms == pytest.approx(14.0)
+        assert row(profile, "build").ms == pytest.approx(12.0)
 
     def test_cache_and_build_interact_in_parallel(self):
         """The cache store is free only because the pool workers hide
-        it: once the build work is idealized too, the union buys 18 ms
-        where the parts bought 14 -- a +4 ms parallel interaction."""
+        it: once the build work is idealized too, the union buys 16 ms
+        where the parts bought 12 -- a +4 ms parallel interaction."""
         profile = self_profile(self._pool_collector())
         pair = row(profile, "build+cache")
         assert pair.ms == pytest.approx(4.0)

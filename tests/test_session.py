@@ -299,8 +299,7 @@ class TestDifferential:
         assert via_session == manual
 
     def test_critical_bit_identical(self, gzip_trace):
-        provider = AnalysisSession.for_trace(gzip_trace).provider(
-            allow_approx=False)
+        provider = AnalysisSession.for_trace(gzip_trace).provider()
         via_session = top_critical_instructions(
             provider.analyzer, range(len(provider.result.events)), top=5)
         manual = GraphCostProvider(simulate(gzip_trace))
@@ -313,8 +312,8 @@ class TestRunConfig:
     def test_round_trips_through_json(self):
         run = RunConfig(workload="gzip", scale=0.5, seed=3,
                         machine=MachineConfig(dl1_latency=4),
-                        engine="batched", jobs=2, windows=4,
-                        cache_dir="/tmp/c", approx=True)
+                        engine="batched", jobs=2, cache_dir="/tmp/c",
+                        approx=4)
         assert RunConfig.from_json(run.to_json()) == run
 
     def test_round_trips_default_machine(self):
@@ -329,9 +328,9 @@ class TestRunConfig:
     def test_pipeline_requested_by_any_knob(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert not RunConfig().pipeline_requested()
-        assert RunConfig(jobs=2).pipeline_requested()
-        assert RunConfig(windows=4).pipeline_requested()
-        assert RunConfig(approx=True).pipeline_requested()
+        # --jobs alone changes nothing on the exact path
+        assert not RunConfig(jobs=2).pipeline_requested()
+        assert RunConfig(approx=4).pipeline_requested()
         assert RunConfig(cache_dir="/tmp/x").pipeline_requested()
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/y")
         assert RunConfig().pipeline_requested()

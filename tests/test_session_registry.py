@@ -36,7 +36,7 @@ SMOKE_ARGV = {
     "compare": ["gzip", "--scale", "0.2", "--after", "dl1_latency=4"],
     "multisim": ["gzip", "--scale", "0.2", "--focus", "dl1"],
     "selfprofile": ["gzip", "--scale", "0.2", "--jobs", "2",
-                    "--windows", "4", "--no-cache"],
+                    "--approx", "4", "--no-cache"],
     "bench": ["--suite", "smoke", "--scale", "0.2", "-o", "{tmp}"],
     "ledger": ["list"],
     "serve": ["--port", "0", "--smoke"],
