@@ -59,8 +59,13 @@ def characterize_trace(trace, config: Optional[MachineConfig] = None,
         from repro.session import AnalysisSession
 
         session = AnalysisSession.for_trace(trace, config=config)
-    provider = CachingCostProvider(
-        session.graph_provider(config=config, trace=trace))
+    return characterize_provider(
+        session.graph_provider(config=config, trace=trace), trace.name)
+
+
+def characterize_provider(provider, workload: str) -> Characterization:
+    """Fingerprint *workload* from a cost provider over its run."""
+    provider = CachingCostProvider(provider)
     total = provider.total
     costs = {c.value: 100.0 * provider.cost([c]) / total
              for c in BASE_CATEGORIES}
@@ -77,7 +82,7 @@ def characterize_trace(trace, config: Optional[MachineConfig] = None,
         if parallel is None or value > parallel[1]:
             parallel = (other.value, value)
     return Characterization(
-        workload=trace.name,
+        workload=workload,
         cycles=int(total),
         costs=costs,
         dominant=dominant_name,

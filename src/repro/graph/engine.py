@@ -236,10 +236,11 @@ class BatchedEngine:
         self._base_lat = np.ascontiguousarray(graph.column_data("lat"),
                                               dtype=np.int64) \
             if graph.num_edges else np.zeros(0, dtype=np.int64)
-        # out-adjacency for the worklist and the pure-Python edge list,
-        # both built lazily on first use
+        # out-adjacency for the worklist and the pure-Python edge lists
+        # (the engine's own, freed by close()), built on first use
         self._out_dst: Optional["np.ndarray"] = None
         self._out_start: Optional["np.ndarray"] = None
+        self._src_list: Optional[List[int]] = None
         self._dst_list: Optional[List[int]] = None
         self._incremental_max_edges = (
             incremental_max_edges if incremental_max_edges is not None else 48)
@@ -280,9 +281,10 @@ class BatchedEngine:
             return [lengths[key] for key in keys]
 
     def close(self) -> None:
-        """Drop all cached measurement states."""
+        """Drop all cached measurement states and edge lists."""
         self._states.clear()
         self._state_bytes = 0
+        self._src_list = self._dst_list = None
 
     # -- internals -----------------------------------------------------
 
@@ -367,6 +369,7 @@ class BatchedEngine:
         # optimized pure-Python fallback: one flat relaxation over the
         # destination-sorted edge list (no per-node range bookkeeping)
         if self._dst_list is None:
+            self._src_list = self._src.tolist()
             self._dst_list = self._dst_of(
                 np.arange(len(self._src))).tolist()
         if prefix is not None and v0 > 1:
@@ -375,9 +378,9 @@ class BatchedEngine:
             dist = [0] * n
         dist[0] = seed
         e0 = int(self._cs[v0])
-        src = self.graph.edge_src
         lat_list = lat.tolist()
-        for s, l, d in zip(src[e0:], lat_list[e0:], self._dst_list[e0:]):
+        for s, l, d in zip(self._src_list[e0:], lat_list[e0:],
+                           self._dst_list[e0:]):
             t = dist[s] + l
             if t > dist[d]:
                 dist[d] = t

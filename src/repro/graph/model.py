@@ -246,7 +246,7 @@ class DependenceGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_src)
+        return len(self.column_data("src"))
 
     def edge(self, index: int, dst: Optional[int] = None) -> Edge:
         """Materialise the edge at CSR *index* directly, without scanning.

@@ -24,9 +24,10 @@ self-contained HTML report with per-phase timing bars.
 
 from __future__ import annotations
 
-import html
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.viz.page import Cell, Html, bar, code, esc, page, sparkline, table
 
 __all__ = [
     "Thresholds",
@@ -217,43 +218,17 @@ def render_diff_table(diff: LedgerDiff,
 
 
 # ---------------------------------------------------------------------
-# HTML report
+# HTML report (built from the page primitives of repro.viz.page)
 # ---------------------------------------------------------------------
 
-_CSS = """
-body { font-family: -apple-system, 'Segoe UI', sans-serif; margin: 2em;
-       color: #1a1a2e; max-width: 70em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 2em; }
-table { border-collapse: collapse; margin: 1em 0; font-size: 0.9em; }
-th, td { border: 1px solid #d0d0e0; padding: 0.3em 0.8em;
-         text-align: right; }
-th { background: #eef0f8; } td.name, th.name { text-align: left; }
-tr.regression td { background: #ffe3e3; font-weight: 600; }
-tr.info td { color: #667; }
-.bar { display: inline-block; height: 0.8em; background: #5470c6;
-       vertical-align: middle; border-radius: 2px; }
-.bar.simulate { background: #5470c6; } .bar.build { background: #91cc75; }
-.bar.analyze { background: #fac858; } .bar.other { background: #b6a2de; }
-.ok { color: #2a7; } .bad { color: #c33; font-weight: 700; }
-code { background: #f2f3f8; padding: 0.1em 0.3em; border-radius: 3px; }
-td.serial { color: #c33; } td.parallel { color: #2a7; }
-td.independent { color: #667; }
-"""
+_PHASES = ("simulate", "build", "analyze", "other")
 
 
 def _phase_bars(manifest: Dict[str, Any], max_ms: float) -> str:
-    rows = []
-    for phase in ("simulate", "build", "analyze", "other"):
-        ms = float(manifest.get("phases", {}).get(phase, 0.0))
-        width = 0 if max_ms <= 0 else max(1, round(280 * ms / max_ms))
-        rows.append(
-            f"<tr><td class='name'>{phase}</td>"
-            f"<td class='name'><span class='bar {phase}' "
-            f"style='width:{width}px'></span></td>"
-            f"<td>{ms:.1f} ms</td></tr>")
-    return ("<table><tr><th class='name'>phase</th>"
-            "<th class='name'>wall-clock</th><th>ms</th></tr>"
-            + "".join(rows) + "</table>")
+    ms = {p: float(manifest.get("phases", {}).get(p, 0.0)) for p in _PHASES}
+    return table(("phase", "wall-clock", "ms"),
+                 ((p, bar(ms[p], max_ms, p), f"{ms[p]:.1f} ms")
+                  for p in _PHASES), align="llr")
 
 
 def _selfprofile_section(manifest: Dict[str, Any]) -> str:
@@ -271,21 +246,18 @@ def _selfprofile_section(manifest: Dict[str, Any]) -> str:
             f"{float(profile.get('total_ms', 0.0)):.1f} ms of "
             f"{float(profile.get('wall_ms', 0.0)):.1f} ms wall "
             f"({100.0 * coverage:.1f}% accounted, "
-            f"{profile.get('processes', 1)} process(es))</p>")
+            f"{esc(profile.get('processes', 1))} process(es))</p>")
     rows = []
     for row in profile.get("rows", ()):
-        cls = html.escape(row.get("classification") or "")
+        cls = row.get("classification") or ""
         label = ("cost(%s)" % row["label"] if row["kind"] == "cost"
                  else "icost({%s})" % row["label"]
                  if row["kind"] == "interaction" else row["label"])
-        rows.append(
-            f"<tr><td class='name'><code>{html.escape(label)}</code></td>"
-            f"<td>{float(row['ms']):+.2f}</td>"
-            f"<td>{float(row['percent']):+.1f}%</td>"
-            f"<td class='{cls or 'name'}'>{cls or '&mdash;'}</td></tr>")
-    return (head + "<table><tr><th class='name'>self-icost row</th>"
-            "<th>ms</th><th>% of schedule</th><th>class</th></tr>"
-            + "".join(rows) + "</table>")
+        rows.append((code(label), f"{float(row['ms']):+.2f}",
+                     f"{float(row['percent']):+.1f}%",
+                     Cell(cls or "\u2014", cls or "name")))
+    return head + table(("self-icost row", "ms", "% of schedule", "class"),
+                        rows)
 
 
 def _approx_windows(run: Dict[str, Any]) -> int:
@@ -316,10 +288,8 @@ def _manifest_summary(manifest: Dict[str, Any]) -> str:
         ("host", meta["host"].get("hostname", "?")),
         ("wall", f"{manifest.get('perf', {}).get('wall_ms', 0):.0f} ms"),
     ]
-    return ("<table>" + "".join(
-        f"<tr><td class='name'>{html.escape(str(k))}</td>"
-        f"<td class='name'><code>{html.escape(str(v))}</code></td></tr>"
-        for k, v in rows) + "</table>")
+    return table(None, ((name, code(value)) for name, value in rows),
+                 align="l")
 
 
 def render_html_report(manifests: Sequence[Dict[str, Any]],
@@ -333,82 +303,48 @@ def render_html_report(manifests: Sequence[Dict[str, Any]],
     (``label -> (measured, paper)``) adds the accuracy-vs-paper
     section bench manifests carry.
     """
-    parts = [f"<!doctype html><html><head><meta charset='utf-8'>"
-             f"<title>{html.escape(title)}</title>"
-             f"<style>{_CSS}</style></head><body>"
-             f"<h1>{html.escape(title)}</h1>"]
+    parts = [f"<h1>{esc(title)}</h1>"]
     if diff is not None:
         count = len(diff.regressions)
         badge = (f"<span class='bad'>{count} regression(s)</span>"
                  if count else "<span class='ok'>no regressions</span>")
-        parts.append(
-            f"<h2>Diff {html.escape(diff.before_id)} &rarr; "
-            f"{html.escape(diff.after_id)}</h2>"
-            f"<p>{badge} &mdash; configs "
-            f"{'identical' if diff.same_config else 'differ'}</p>")
-        parts.append("<table><tr><th class='name'>metric</th>"
-                     "<th>before</th><th>after</th><th>delta</th>"
-                     "<th>threshold</th><th>verdict</th></tr>")
-        for f in diff.findings:
-            parts.append(
-                f"<tr class='{f.verdict}'>"
-                f"<td class='name'>{html.escape(f.metric)}</td>"
-                f"<td>{_fmt(f.before)}</td><td>{_fmt(f.after)}</td>"
-                f"<td>{_fmt(f.delta)}</td>"
-                f"<td class='name'>{html.escape(f.threshold)}</td>"
-                f"<td>{f.verdict}</td></tr>")
-        parts.append("</table>")
+        parts += [
+            f"<h2>Diff {esc(diff.before_id)} &rarr; {esc(diff.after_id)}"
+            f"</h2><p>{badge} &mdash; configs "
+            f"{'identical' if diff.same_config else 'differ'}</p>",
+            table(("metric", "before", "after", "delta", "threshold",
+                   "verdict"),
+                  ((f.metric, _fmt(f.before), _fmt(f.after), _fmt(f.delta),
+                    f.threshold, f.verdict) for f in diff.findings),
+                  align="lrrrlr",
+                  row_classes=[f.verdict for f in diff.findings])]
     if paper_deltas:
-        parts.append("<h2>Accuracy vs paper</h2>"
-                     "<table><tr><th class='name'>metric</th>"
-                     "<th>measured</th><th>paper</th><th>delta</th></tr>")
-        for label in sorted(paper_deltas):
-            measured, paper = paper_deltas[label]
-            parts.append(
-                f"<tr><td class='name'>{html.escape(label)}</td>"
-                f"<td>{measured:.2f}</td><td>{paper:.2f}</td>"
-                f"<td>{measured - paper:+.2f}</td></tr>")
-        parts.append("</table>")
+        parts += ["<h2>Accuracy vs paper</h2>", table(
+            ("metric", "measured", "paper", "delta"),
+            ((label, f"{measured:.2f}", f"{paper:.2f}",
+              f"{measured - paper:+.2f}")
+             for label, (measured, paper) in sorted(paper_deltas.items())))]
     max_ms = max((float(m.get("phases", {}).get(p, 0.0))
-                  for m in manifests
-                  for p in ("simulate", "build", "analyze", "other")),
-                 default=0.0)
+                  for m in manifests for p in _PHASES), default=0.0)
     for manifest in manifests:
-        parts.append(f"<h2>Run <code>"
-                     f"{html.escape(manifest['meta']['run_id'])}"
-                     f"</code></h2>")
-        parts.append(_manifest_summary(manifest))
-        parts.append(_phase_bars(manifest, max_ms))
-        parts.append(_selfprofile_section(manifest))
-    parts.append("</body></html>")
-    return "".join(parts)
+        parts += [f"<h2>Run {code(manifest['meta']['run_id'])}</h2>",
+                  _manifest_summary(manifest), _phase_bars(manifest, max_ms),
+                  _selfprofile_section(manifest)]
+    return page(title, *parts)
 
 
 # ---------------------------------------------------------------------
 # live dashboard (the serve daemon's GET /dashboard)
 # ---------------------------------------------------------------------
 
-def _sparkline(values: Sequence[float], width: int = 280,
-               height: int = 36) -> str:
-    """An inline SVG sparkline (self-contained, no external assets)."""
-    points = [float(v) for v in values]
+def _latency(samples_ms: Sequence[float]) -> str:
+    """The request-latency sparkline and its caption."""
+    points = [float(v) for v in samples_ms]
     if not points:
         return "<span class='info'>no samples yet</span>"
-    hi = max(points) or 1.0
-    lo = min(points)
-    span = (hi - lo) or 1.0
-    n = len(points)
-    step = width / max(1, n - 1)
-    coords = " ".join(
-        f"{i * step if n > 1 else width / 2:.1f},"
-        f"{height - 2 - (height - 4) * (v - lo) / span:.1f}"
-        for i, v in enumerate(points))
-    return (f"<svg width='{width}' height='{height}' "
-            f"viewBox='0 0 {width} {height}'>"
-            f"<polyline points='{coords}' fill='none' "
-            f"stroke='#5470c6' stroke-width='1.5'/></svg>"
-            f"<span class='info'> {points[-1]:.1f} ms last, "
-            f"{hi:.1f} ms peak ({n} sample(s))</span>")
+    return (f"{sparkline(points)}<span class='info'> {points[-1]:.1f} ms "
+            f"last, {max(points):.1f} ms peak ({len(points)} sample(s))"
+            f"</span>")
 
 
 def _stat_tiles(stats: Dict[str, Any]) -> str:
@@ -424,11 +360,9 @@ def _stat_tiles(stats: Dict[str, Any]) -> str:
         ("cache pressure", f"{cache.get('evictions', 0)} evicted, "
                            f"{cache.get('quarantined', 0)} quarantined"),
     ]
-    cells = "".join(
-        f"<td><div class='info'>{html.escape(label)}</div>"
-        f"<div class='stat'>{html.escape(value)}</div></td>"
-        for label, value in tiles)
-    return f"<table class='tiles'><tr>{cells}</tr></table>"
+    return table(None, [[Html(f"<div class='info'>{esc(label)}</div>"
+                               f"<div class='stat'>{esc(value)}</div>")
+                          for label, value in tiles]], align="l")
 
 
 def _route_table(routes: Sequence[Dict[str, Any]]) -> str:
@@ -437,16 +371,11 @@ def _route_table(routes: Sequence[Dict[str, Any]]) -> str:
     rows = []
     for r in routes:
         count = float(r.get("count", 0)) or 1.0
-        rows.append(
-            f"<tr><td class='name'><code>"
-            f"{html.escape(str(r.get('route')))}</code></td>"
-            f"<td>{html.escape(str(r.get('code')))}</td>"
-            f"<td>{int(r.get('count', 0))}</td>"
-            f"<td>{float(r.get('total_ms', 0.0)) / count:.1f}</td>"
-            f"<td>{float(r.get('max_ms', 0.0)):.1f}</td></tr>")
-    return ("<table><tr><th class='name'>route</th><th>code</th>"
-            "<th>requests</th><th>mean ms</th><th>max ms</th></tr>"
-            + "".join(rows) + "</table>")
+        rows.append((code(r.get("route")), r.get("code"),
+                     int(r.get("count", 0)),
+                     f"{float(r.get('total_ms', 0.0)) / count:.1f}",
+                     f"{float(r.get('max_ms', 0.0)):.1f}"))
+    return table(("route", "code", "requests", "mean ms", "max ms"), rows)
 
 
 def _runs_table(runs: Sequence[Dict[str, Any]]) -> str:
@@ -457,27 +386,15 @@ def _runs_table(runs: Sequence[Dict[str, Any]]) -> str:
     for r in runs:
         delta = r.get("baseline_wall_delta_ms")
         regressions = r.get("baseline_regressions")
-        if regressions is None:
-            verdict = "<td class='info'>&mdash;</td>"
-        elif regressions:
-            verdict = f"<td class='bad'>{int(regressions)} regression(s)</td>"
-        else:
-            verdict = "<td class='ok'>ok</td>"
-        rows.append(
-            f"<tr><td class='name'><code>"
-            f"{html.escape(str(r.get('run_id')))}</code></td>"
-            f"<td class='name'>{html.escape(str(r.get('recorded')))}</td>"
-            f"<td class='name'>{html.escape(str(r.get('analysis')))}</td>"
-            f"<td class='name'>{html.escape(str(r.get('workload') or '-'))}"
-            f"</td><td>{float(r.get('wall_ms', 0.0)):.0f}</td>"
-            f"<td>{'' if delta is None else f'{delta:+.0f}'}</td>"
-            f"{verdict}</tr>")
-    return ("<table><tr><th class='name'>run</th>"
-            "<th class='name'>recorded</th>"
-            "<th class='name'>analysis</th>"
-            "<th class='name'>workload</th><th>wall ms</th>"
-            "<th>&Delta; vs baseline</th><th>verdict</th></tr>"
-            + "".join(rows) + "</table>")
+        verdict = (Cell("\u2014", "info") if regressions is None
+                   else Cell(f"{int(regressions)} regression(s)", "bad")
+                   if regressions else Cell("ok", "ok"))
+        rows.append((code(r.get("run_id")), r.get("recorded"),
+                     r.get("analysis"), r.get("workload") or "-",
+                     f"{float(r.get('wall_ms', 0.0)):.0f}",
+                     "" if delta is None else f"{delta:+.0f}", verdict))
+    return table(("run", "recorded", "analysis", "workload", "wall ms",
+                  "\u0394 vs baseline", "verdict"), rows, align="llllr")
 
 
 def render_dashboard_html(doc: Dict[str, Any]) -> str:
@@ -486,32 +403,20 @@ def render_dashboard_html(doc: Dict[str, Any]) -> str:
     *doc* is :meth:`repro.serve.server.ReproServer.dashboard_doc`:
     ``{"url", "stats", "telemetry": {"routes", "samples_ms"},
     "runs", "baseline"}``.  Pure function of the snapshot so tests can
-    render without a live daemon; self-contained HTML (inline CSS +
-    SVG sparkline, no external assets), sharing the report stylesheet.
+    render without a live daemon; the page refreshes itself every 5 s.
     """
     telemetry = doc.get("telemetry", {})
     baseline = doc.get("baseline")
-    extra_css = """
-.tiles td { border: 1px solid #d0d0e0; padding: 0.6em 1.2em;
-            text-align: left; } .stat { font-size: 1.2em;
-            font-weight: 600; } .info { color: #667; font-size: 0.85em; }
-"""
     parts = [
-        "<!doctype html><html><head><meta charset='utf-8'>"
-        "<meta http-equiv='refresh' content='5'>"
-        f"<title>repro serve dashboard</title>"
-        f"<style>{_CSS}{extra_css}</style></head><body>"
-        f"<h1>repro serve dashboard &mdash; "
-        f"<code>{html.escape(str(doc.get('url', '')))}</code></h1>",
+        f"<h1>repro serve dashboard &mdash; {code(doc.get('url', ''))}</h1>",
         _stat_tiles(doc.get("stats", {})),
         "<h2>Request latency</h2>",
-        _sparkline(telemetry.get("samples_ms", ())),
+        _latency(telemetry.get("samples_ms", ())),
         _route_table(telemetry.get("routes", ())),
         "<h2>Recent runs</h2>",
     ]
     if baseline:
         parts.append(f"<p class='info'>deltas vs pinned baseline "
-                     f"<code>{html.escape(str(baseline))}</code></p>")
+                     f"{code(baseline)}</p>")
     parts.append(_runs_table(doc.get("runs", ())))
-    parts.append("</body></html>")
-    return "".join(parts)
+    return page("repro serve dashboard", *parts, refresh=5)

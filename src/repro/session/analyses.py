@@ -341,7 +341,7 @@ class ReportAnalysis(Analysis):
 
         focus = _focus(args) or Category.DL1
         save_report(session.trace, args.output, config=session.machine,
-                    focus=focus)
+                    focus=focus, session=session)
         return ReportResult(workload=args.workload, output=args.output,
                             focus=focus.value)
 

@@ -6,24 +6,16 @@ interactions below the axis), the sensitivity curves of Figure 3, and
 the microexecution structure of Figure 2.  This package renders all
 three (plus an interaction-matrix heat map) as standalone SVG
 documents, generated by a small built-in SVG writer so the library
-stays dependency-light.
+stays dependency-light; :mod:`repro.viz.page` is the one HTML emitter.
+The re-exports resolve lazily, so a submodule import loads no numpy.
 """
 
-from repro.viz.svg import SvgDocument
-from repro.viz.charts import (
-    stacked_bar_svg,
-    sensitivity_curves_svg,
-    matrix_heatmap_svg,
-)
-from repro.viz.timeline import pipeline_timeline_svg
-from repro.viz.report import html_report, save_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SvgDocument",
-    "stacked_bar_svg",
-    "sensitivity_curves_svg",
-    "matrix_heatmap_svg",
-    "pipeline_timeline_svg",
-    "html_report",
-    "save_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "SvgDocument": "repro.viz.svg",
+    **{name: "repro.viz.charts" for name in (
+        "stacked_bar_svg", "sensitivity_curves_svg", "matrix_heatmap_svg")},
+    "pipeline_timeline_svg": "repro.viz.timeline",
+    **{name: "repro.viz.report" for name in ("html_report", "save_report")},
+})

@@ -4,68 +4,50 @@ One file, no external assets: breakdown table, stacked-bar and
 interaction-matrix SVGs inline, the workload characterization line and
 the machine configuration -- the artefact you attach to a design
 review.  Everything is computed from a single simulation via the graph
-provider.
+provider, and the page is built from :mod:`repro.viz.page`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-from xml.sax.saxutils import escape
 
-from repro.analysis.characterize import characterize_trace
-from repro.analysis.graphsim import analyze_trace
+from repro.analysis.characterize import characterize_provider
 from repro.analysis.matrix import interaction_matrix
 from repro.core.breakdown import interaction_breakdown
 from repro.core.categories import Category
+from repro.session import AnalysisSession
 from repro.uarch.config import MachineConfig
 from repro.viz.charts import matrix_heatmap_svg, stacked_bar_svg
+from repro.viz.page import Cell, esc, page, table
 from repro.viz.timeline import pipeline_timeline_svg
 
-_STYLE = """
-body { font-family: sans-serif; margin: 2em auto; max-width: 70em;
-       color: #222; }
-h1, h2 { font-weight: 600; }
-table { border-collapse: collapse; margin: 1em 0; }
-td, th { border: 1px solid #ccc; padding: 3px 10px; text-align: right;
-         font-variant-numeric: tabular-nums; }
-th { background: #f2f2f2; }
-td.label { text-align: left; font-family: monospace; }
-tr.interaction td { color: #555; }
-.serial { color: #0050b0; font-weight: 600; }
-.parallel { color: #c03000; font-weight: 600; }
-.advice { background: #f7f7e8; border-left: 4px solid #ccc;
-          padding: 0.6em 1em; }
-figure { margin: 1.5em 0; }
-"""
 
-
-def _breakdown_table_html(breakdown) -> str:
-    rows = []
-    for entry in breakdown.entries:
-        cls = entry.kind
-        value = f"{entry.percent:.1f}"
-        if entry.kind == "interaction":
-            tone = "serial" if entry.percent < -0.5 else (
-                "parallel" if entry.percent > 0.5 else "")
-            value = f'<span class="{tone}">{entry.percent:+.1f}</span>'
-        rows.append(
-            f'<tr class="{cls}"><td class="label">{escape(entry.label)}</td>'
-            f"<td>{value}</td><td>{entry.cycles:.0f}</td></tr>")
-    return ("<table><tr><th>category</th><th>% of time</th>"
-            "<th>cycles</th></tr>" + "".join(rows) + "</table>")
+def _percent_cell(entry) -> object:
+    """A breakdown row's percent; interactions signed and coloured."""
+    if entry.kind != "interaction":
+        return f"{entry.percent:.1f}"
+    tone = "serial" if entry.percent < -0.5 else (
+        "parallel" if entry.percent > 0.5 else "")
+    return Cell(f"{entry.percent:+.1f}", tone)
 
 
 def html_report(trace, config: Optional[MachineConfig] = None,
                 focus: Optional[Category] = Category.DL1,
-                timeline_window: int = 48) -> str:
-    """Render a full single-workload analysis as an HTML document."""
-    provider = analyze_trace(trace, config)
+                timeline_window: int = 48, session=None) -> str:
+    """Render a full single-workload analysis as an HTML document.
+
+    One simulation and one graph build, through *session* (the caller's
+    :class:`AnalysisSession`, so its caches and engines) or a throwaway.
+    """
+    if session is None:
+        session = AnalysisSession.for_trace(trace, config=config)
+    provider = session.graph_provider(config=config, trace=trace)
     result = provider.result
     cfg = result.config
     breakdown = interaction_breakdown(provider, focus=focus,
                                       workload=trace.name)
     matrix = interaction_matrix(provider, workload=trace.name)
-    fingerprint = characterize_trace(trace, config)
+    fingerprint = characterize_provider(provider, trace.name)
 
     bar = stacked_bar_svg({trace.name: breakdown}).render()
     heat = matrix_heatmap_svg(matrix).render()
@@ -74,46 +56,39 @@ def html_report(trace, config: Optional[MachineConfig] = None,
     timeline = pipeline_timeline_svg(result, start=start,
                                      count=timeline_window).render()
 
-    config_rows = "".join(
-        f'<tr><td class="label">{name}</td><td>{value}</td></tr>'
-        for name, value in (
+    serial = matrix.strongest_serial()
+    parallel = matrix.strongest_parallel()
+    return page(
+        f"icost report: {trace.name}",
+        f"<h1>Interaction-cost report: {esc(trace.name)}</h1>"
+        f"<p>{len(result.events)} instructions, {result.cycles} cycles\n"
+        f"(IPC {result.ipc:.2f}).</p>"
+        f"<div class='advice'>{esc(fingerprint.advice())}<br>\n"
+        f"strongest serial pair: {serial[0].value}+{serial[1].value}\n"
+        f"({serial[2]:+.1f}%);\n"
+        f"strongest parallel pair: {parallel[0].value}+{parallel[1].value}\n"
+        f"({parallel[2]:+.1f}%)</div>"
+        "<h2>Breakdown</h2>",
+        table(("category", "% of time", "cycles"),
+              ((entry.label, _percent_cell(entry), f"{entry.cycles:.0f}")
+               for entry in breakdown.entries),
+              row_classes=[entry.kind for entry in breakdown.entries]),
+        f"<figure>{bar}</figure><h2>Pairwise interactions</h2>"
+        f"<figure>{heat}</figure>"
+        f"<h2>Pipeline timeline (sample window)</h2>"
+        f"<figure>{timeline}</figure><h2>Machine</h2>",
+        table(("parameter", "value"), (
             ("window", cfg.window_size), ("width", cfg.issue_width),
             ("dl1 latency", cfg.dl1_latency), ("L2 latency", cfg.l2_latency),
             ("memory latency", cfg.memory_latency),
             ("recovery", cfg.mispredict_recovery),
             ("issue wakeup", cfg.issue_wakeup),
-        ))
-
-    serial = matrix.strongest_serial()
-    parallel = matrix.strongest_parallel()
-    return f"""<!DOCTYPE html>
-<html><head><meta charset="utf-8">
-<title>icost report: {escape(trace.name)}</title>
-<style>{_STYLE}</style></head>
-<body>
-<h1>Interaction-cost report: {escape(trace.name)}</h1>
-<p>{len(result.events)} instructions, {result.cycles} cycles
-(IPC {result.ipc:.2f}).</p>
-<div class="advice">{escape(fingerprint.advice())}<br>
-strongest serial pair: {serial[0].value}+{serial[1].value}
-({serial[2]:+.1f}%);
-strongest parallel pair: {parallel[0].value}+{parallel[1].value}
-({parallel[2]:+.1f}%)</div>
-<h2>Breakdown</h2>
-{_breakdown_table_html(breakdown)}
-<figure>{bar}</figure>
-<h2>Pairwise interactions</h2>
-<figure>{heat}</figure>
-<h2>Pipeline timeline (sample window)</h2>
-<figure>{timeline}</figure>
-<h2>Machine</h2>
-<table><tr><th>parameter</th><th>value</th></tr>{config_rows}</table>
-</body></html>
-"""
+        )))
 
 
 def save_report(trace, path, config: Optional[MachineConfig] = None,
-                focus: Optional[Category] = Category.DL1) -> None:
+                focus: Optional[Category] = Category.DL1,
+                session=None) -> None:
     """Write :func:`html_report` output to *path*."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(html_report(trace, config, focus))
+        handle.write(html_report(trace, config, focus, session=session))

@@ -91,6 +91,17 @@ class TestMetricsFlag:
         assert "native C kernel" in stdout
         assert "engine.batched.sweep.full" in stdout
 
+    def test_report_simulates_and_builds_once(self, run, tmp_path):
+        """The report, its breakdown, matrix and characterization all
+        read the CLI session's one simulation and one graph."""
+        code, stdout, _ = run("report", "gzip", "--scale", "0.25",
+                              "-o", str(tmp_path / "r.html"), "--metrics")
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:]
+                for line in stdout.splitlines() if line.strip()}
+        assert rows["session.simulate"] == ["1"]
+        assert rows["graph.build"][0] == "1"  # the span's count
+
     def test_metrics_without_trace_writes_no_file(self, run, tmp_path):
         code, stdout, stderr = run("breakdown", "gzip", "--scale", "0.2",
                                    "--metrics")

@@ -170,6 +170,22 @@ class TestStateMemory:
         finally:
             gc.enable()
 
+    def test_pure_python_sweep_pins_no_edge_list_on_the_graph(self):
+        """The fallback's python edge lists belong to the engine: the
+        array-backed graph, shared by every engine over it, never gains
+        an ``edge_src`` list, and ``close()`` frees the engine's."""
+        result = simulate(get_workload("gzip", scale=0.2))
+        graph = build_graph(result)
+        assert "edge_src" not in graph.__dict__  # array-backed
+        engine = BatchedEngine(graph, native=False)  # sweeps the base
+        # the naive oracle walks the python lists: give it its own graph
+        oracle = GraphCostAnalyzer(build_graph(result), engine="naive")
+        for key in POWER_SET:
+            assert engine.cp_length(key) == oracle.cp_length(key)
+        assert "edge_src" not in graph.__dict__
+        engine.close()
+        assert engine._src_list is None and engine._dst_list is None
+
 
 class TestRegisteredWorkloads:
     """The whole suite, engine vs oracle (scaled down for CI speed)."""

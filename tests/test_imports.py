@@ -75,3 +75,39 @@ def test_lazy_package_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
     assert set(repro.__all__) <= set(dir(repro))
+
+
+#: the simulator, graph and analysis layers, which an HTML page of
+#: ledger manifests never needs
+ANALYSIS_LAYERS = ("repro.analysis", "repro.graph", "repro.uarch")
+
+
+def test_serve_daemon_loads_no_numpy():
+    loaded = _modules_after("import repro.serve.server")
+    assert "repro.obs.ledger.report" in loaded  # the dashboard renderer
+    assert "numpy" not in loaded
+
+
+def test_dashboard_render_loads_no_numpy():
+    loaded = _modules_after(
+        "from repro.obs.ledger import render_dashboard_html\n"
+        "render_dashboard_html({'url': 'http://x', 'stats': {},"
+        " 'telemetry': {}, 'runs': [], 'baseline': None})")
+    assert "numpy" not in loaded
+
+
+def test_ledger_report_render_loads_no_analysis_code():
+    manifest = ("{'meta': {'run_id': %r, 'timestamp': 't',"
+                " 'host': {'hostname': 'h'}},"
+                " 'run': {'command': 'breakdown', 'config_digest': 'd' * 64,"
+                " 'config': {'workload': 'gzip'}},"
+                " 'phases': {'simulate': 1.0}, 'counters': {},"
+                " 'metrics': {'breakdown.dl1_pp': %r}, 'perf': {}}")
+    loaded = _modules_after(
+        "from repro.obs.ledger import diff_manifests, render_html_report\n"
+        f"a = {manifest % ('aaaa', 20.0)}\n"
+        f"b = {manifest % ('bbbb', 30.0)}\n"
+        "render_html_report([a, b], diff_manifests(a, b))")
+    assert "repro.obs.ledger.report" in loaded
+    assert "numpy" not in loaded
+    assert not [m for m in loaded if m.startswith(ANALYSIS_LAYERS)]

@@ -405,6 +405,26 @@ class TestRunsEndpoints:
             srv.stop()
 
 
+#: A dashboard snapshot document, as ``ReproServer.dashboard_doc``
+#: returns one.
+DASHBOARD_SNAPSHOT = {
+    "url": "http://127.0.0.1:1",
+    "stats": {"queue_depth": 0, "queue_size": 8,
+              "jobs_done": 2, "jobs_failed": 0,
+              "sessions_active": 0, "cache": {"hits": 3, "misses": 1}},
+    "telemetry": {
+        "routes": [{"route": "/healthz", "code": "200",
+                    "count": 2, "total_ms": 1.0, "max_ms": 0.7}],
+        "samples_ms": [0.3, 0.7, 0.5],
+    },
+    "baseline": "aaaa0000",
+    "runs": [{"run_id": "bbbb1111", "recorded": "t",
+              "analysis": "breakdown", "workload": "gzip",
+              "wall_ms": 20.0, "baseline_wall_delta_ms": 5.0,
+              "baseline_regressions": 2}],
+}
+
+
 class TestDashboard:
     def test_dashboard_serves_self_contained_html(self, served):
         srv, client = served
@@ -433,25 +453,7 @@ class TestDashboard:
         assert "baseline_regressions" not in oldest
 
     def test_render_is_a_pure_function_of_the_snapshot(self):
-        doc = {
-            "url": "http://127.0.0.1:1",
-            "stats": {"queue_depth": 0, "queue_size": 8,
-                      "jobs_done": 2, "jobs_failed": 0,
-                      "sessions_active": 0, "cache": {"hits": 3,
-                                                      "misses": 1}},
-            "telemetry": {
-                "routes": [{"route": "/healthz", "code": "200",
-                            "count": 2, "total_ms": 1.0,
-                            "max_ms": 0.7}],
-                "samples_ms": [0.3, 0.7, 0.5],
-            },
-            "baseline": "aaaa0000",
-            "runs": [{"run_id": "bbbb1111", "recorded": "t",
-                      "analysis": "breakdown", "workload": "gzip",
-                      "wall_ms": 20.0, "baseline_wall_delta_ms": 5.0,
-                      "baseline_regressions": 2}],
-        }
-        html_text = render_dashboard_html(doc)
+        html_text = render_dashboard_html(DASHBOARD_SNAPSHOT)
         assert "bbbb1111" in html_text
         assert "2 regression(s)" in html_text
         assert "aaaa0000" in html_text  # the pinned baseline note

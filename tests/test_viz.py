@@ -123,7 +123,7 @@ class TestHtmlReport:
         from repro.viz.report import html_report, save_report
 
         html = html_report(small_gzip_trace)
-        assert html.startswith("<!DOCTYPE html>")
+        assert html.startswith("<!doctype html>")  # the one page shell
         assert html.count("<svg") == 3  # bar, heat map, timeline
         assert "Breakdown" in html and "Machine" in html
         assert "bottleneck is" in html  # the characterization advice
