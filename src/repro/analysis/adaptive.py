@@ -20,7 +20,7 @@ the segment seams are the documented approximation.  A power *proxy*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.analysis.graphsim import GraphCostProvider
@@ -32,20 +32,9 @@ from repro.uarch.config import MachineConfig
 def slice_trace(trace: Trace, start: int, length: int) -> Trace:
     """A standalone sub-trace with producers re-indexed from zero."""
     end = min(start + length, len(trace.insts))
-    insts = []
-    for inst in trace.insts[start:end]:
-        insts.append(replace(
-            inst,
-            seq=inst.seq - start,
-            src_producers=tuple(p - start if p >= start else -1
-                                for p in inst.src_producers),
-            mem_producer=(inst.mem_producer - start
-                          if inst.mem_producer >= start else -1),
-        ))
-    out = Trace(trace.program, insts,
-                warm_l1_ranges=trace.warm_l1_ranges,
-                warm_l2_ranges=trace.warm_l2_ranges)
-    return out
+    return Trace(trace.program, trace.block.slice(start, end),
+                 warm_l1_ranges=trace.warm_l1_ranges,
+                 warm_l2_ranges=trace.warm_l2_ranges)
 
 
 @dataclass

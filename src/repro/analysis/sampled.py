@@ -24,7 +24,7 @@ from repro.core.categories import EventSelection, normalize_targets
 from repro.core.icost import Target
 from repro.graph.builder import build_window_graph
 from repro.graph.cost import GraphCostAnalyzer
-from repro.isa.trace import Trace
+from repro.isa.trace import InstView, Trace
 from repro.uarch.config import MachineConfig
 from repro.uarch.events import SimResult
 
@@ -41,18 +41,7 @@ class WindowedRun:
         end = min(start + length, len(result.events))
         self.start = start
         self.config = result.config
-        self.insts = [
-            replace(
-                inst,
-                seq=inst.seq - start,
-                src_producers=tuple(
-                    p - start if p >= start else -1
-                    for p in inst.src_producers),
-                mem_producer=(inst.mem_producer - start
-                              if inst.mem_producer >= start else -1),
-            )
-            for inst in result.trace.insts[start:end]
-        ]
+        self.insts = InstView(result.trace.block.slice(start, end))
         self.events = []
         for ev in result.events[start:end]:
             copy = replace(ev, seq=ev.seq - start)

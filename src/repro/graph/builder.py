@@ -13,10 +13,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy backs the vectorized fast path; the loop is the fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None
+import numpy as np
 
 import repro.obs as obs
 from repro.core.categories import Category
@@ -28,7 +25,7 @@ from repro.graph.model import (
     NodeKind,
     node_id,
 )
-from repro.isa.instructions import Opcode
+from repro.isa.trace import InstView
 from repro.uarch.events import LazyEvents, SimResult
 
 #: Version of the graph-construction model.  Participates in the
@@ -44,22 +41,12 @@ _SHALU = Category.SHALU.index
 _LGALU = Category.LGALU.index
 _IMISS = Category.IMISS.index
 
-# the per-event and per-instruction fields vectorized emission gathers,
-# pulled through one tuple attrgetter per object (a single pass through
-# the Python attribute machinery instead of one per field)
+# the per-event fields object emission gathers, pulled through one
+# tuple attrgetter per object (a single pass through the Python
+# attribute machinery instead of one per field)
 _EV_FIELDS = operator.attrgetter(
     "icache_delay", "mispredicted", "fu_contention", "store_bw_delay",
     "pp_partner", "dl1_component", "miss_component", "exec_latency")
-_INST_FIELDS = operator.attrgetter("static.opcode", "taken")
-
-# opclass groups driving the EP edge: 0 memory, 1 short ALU, 2 long
-# ALU, 3 everything else (branches)
-_OPGROUP = {}
-for _op in Opcode:
-    _cls = _op.opclass
-    _OPGROUP[_op] = (0 if _cls.is_mem else
-                     1 if _cls.is_short_alu else
-                     2 if _cls.is_long_alu else 3)
 
 
 class GraphBuilder:
@@ -78,15 +65,15 @@ class GraphBuilder:
     def __init__(self, model_taken_branch_breaks: bool = True,
                  vectorized: Optional[bool] = None) -> None:
         self.model_taken_branch_breaks = model_taken_branch_breaks
-        # None = auto: use the numpy fast path when numpy is importable.
-        # The reference loop stays available (vectorized=False) and the
-        # differential suite pins the two paths edge-for-edge identical.
-        self.vectorized = (np is not None) if vectorized is None else vectorized
+        # None = auto, the numpy path; the reference loop stays available
+        # (vectorized=False) and the differential suite pins the two
+        # paths edge-for-edge identical
+        self.vectorized = True if vectorized is None else vectorized
 
     def build(self, result: SimResult) -> DependenceGraph:
         """Construct the Table 3 graph of one simulated run."""
         with obs.span("graph.build", insns=len(result.trace.insts)) as sp:
-            if self.vectorized and np is not None:
+            if self.vectorized:
                 graph = self._build_vectorized(result)
             else:
                 graph = self._build(result)
@@ -105,7 +92,7 @@ class GraphBuilder:
     def _build(self, result: SimResult) -> DependenceGraph:
         trace = result.trace
         events = result.events
-        insts = trace.insts
+        insts = list(trace.insts)  # indexed at random: materialize once
         cfg = result.config
         n = len(insts)
         graph = DependenceGraph(n)
@@ -249,20 +236,19 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
     :class:`repro.analysis.sampled.WindowedRun` semantics edge for
     edge.
 
-    When *events* is a :class:`~repro.uarch.events.LazyEvents` facade
-    whose offset matches *start* and *trace* carries an
-    ``InstColumns`` block, emission reads whole columns instead of
-    iterating Python objects -- same edges, zero ``InstEvents``
-    materialized.  Any other input shape takes the object-gathering
-    path unchanged.
+    The instruction facts come from the ``InstColumns`` block of
+    *trace* or, for a stand-in without one, of the
+    :class:`~repro.isa.trace.InstView` *insts* (which must start at
+    *start*).  When *events* is a
+    :class:`~repro.uarch.events.LazyEvents` facade whose offset matches
+    *start*, emission reads whole event columns -- zero ``InstEvents``
+    materialized; any other event sequence is gathered object by object.
 
     Returns ``(columns, seed)`` where *columns* maps
     :data:`EDGE_COLUMNS` to int64 arrays sorted in CSR (destination,
     emission-slot) order, and *seed* is the ``(latency, category,
     value)`` start seed of node 0, or None when node 0 has none.
     """
-    if np is None:  # pragma: no cover - numpy ships with the package
-        raise RuntimeError("vectorized edge emission requires numpy")
     n = len(insts)
     empty = {c: np.zeros(0, dtype=np.int64) for c in EDGE_COLUMNS}
     if n == 0:
@@ -281,19 +267,23 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
     abs_idx = local + start
     nid5 = local * 5
 
-    # the columnar plane applies when the event facade's window lines
-    # up with [start, start+n) of its root and the trace carries the
-    # instruction column block (real traces do; WindowedRun-style
-    # stand-ins fall back to the object path, which stays the oracle)
-    ecols = icols = None
+    # the instruction facts are the InstColumns block of the trace (in
+    # absolute positions), or of the InstView a window stand-in holds;
+    # the event facts are read from the columnar matrix when the event
+    # facade's window lines up with [start, start+n), else gathered
+    # from the objects (the reference core's list, WindowedRun copies)
+    getter = getattr(trace, "inst_columns", None)
+    icols = getter() if callable(getter) else None
+    if icols is None or icols.n < start + n:
+        if not (isinstance(insts, InstView) and insts.start == start):
+            raise TypeError("edge emission needs a trace with "
+                            "inst_columns() or an InstView at *start*")
+        icols = insts.block.inst_columns
+    opgroup = icols.opgroup[start:start + n]
+    taken_br = icols.taken_br[start:start + n]
     if isinstance(events, LazyEvents) and len(events) == n \
             and events.offset == start:
-        getter = getattr(trace, "inst_columns", None)
-        block_cols = getter() if callable(getter) else None
-        if block_cols is not None and block_cols.n >= start + n:
-            ecols, icols = events.columns, block_cols
-
-    if ecols is not None:
+        ecols = events.columns
         icache = ecols.column("icache_delay")
         misp = ecols.bool_column("mispredicted")
         fu = ecols.column("fu_contention")
@@ -302,19 +292,10 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
         dl1c = ecols.column("dl1_component")
         missc = ecols.column("miss_component")
         execl = ecols.column("exec_latency")
-        opgroup = icols.opgroup[start:start + n]
-        taken_br = icols.taken_br[start:start + n]
     else:
-        # one attribute-gathering pass per object stream: a single tuple
-        # attrgetter amortizes the Python attribute machinery across all
-        # fields at once (it is the dominant cost of object emission)
         ev_mat = np.array([_EV_FIELDS(ev) for ev in events], dtype=np.int64)
         icache, misp_i, fu, sbw, pp, dl1c, missc, execl = ev_mat.T
         misp = misp_i.astype(np.bool_)
-        op_tk = [_INST_FIELDS(inst) for inst in insts]
-        opgroup = np.fromiter((_OPGROUP[op] for op, _ in op_tk), np.int64, n)
-        taken = np.fromiter((bool(t) for _, t in op_tk), np.bool_, n)
-        taken_br = (opgroup == 3) & taken  # group 3 == OpClass.BRANCH
 
     blocks: List[Tuple["np.ndarray", ...]] = []
 
@@ -358,82 +339,38 @@ def emit_edge_arrays(insts: Sequence, events: Sequence, cfg,
           np.full(len(sel), recovery, dtype=np.int64), 3)
 
     # ---- edges into R: DR(0), PR (producer order, then the memory
-    # producer); the tight loop only touches instructions' producer
-    # tuples, so it stays cheap relative to the array work ----
+    # producer), from the deduplicated-producer CSR filtered by *start*.
+    # Slot numbers are first-occurrence positions (not renumbered over
+    # the kept subset); the lexsort only consumes their relative order
+    # within a destination, and the memory producer's slot (count+1)
+    # stays strictly last ----
     block(nid5 + D, nid5 + R, EdgeKind.DR, np.ones(n, dtype=np.int64), 0)
-    if icols is not None:
-        # the trace's deduplicated-producer CSR, filtered by *start* at
-        # emission time.  Slot numbers are first-occurrence positions
-        # (not renumbered over the kept subset, as the object loop
-        # does); the lexsort only consumes their relative order within a
-        # destination, which both numberings share, and the memory
-        # producer's slot (count+1) stays strictly last either way.
-        starts = icols.pr_start[start:start + n + 1]
-        lo, hi = int(starts[0]), int(starts[n])
-        prod = icols.pr_prod[lo:hi]
-        counts = np.diff(starts)
-        dst_local = np.repeat(local, counts)
-        pos = np.arange(lo, hi, dtype=np.int64) - np.repeat(starts[:-1],
-                                                            counts)
-        keep = prod >= start
-        mem = icols.mem_extra[start:start + n]
-        msel = np.nonzero(mem >= start)[0]
-        pr_src = np.concatenate((
-            (prod[keep] - start) * 5 + P,
-            (mem[msel] - start) * 5 + P))
-        if len(pr_src):
-            m = len(pr_src)
-            ks = int(np.count_nonzero(keep))
-            blocks.append((
-                pr_src,
-                np.concatenate((nid5[dst_local[keep]] + R,
-                                nid5[msel] + R)),
-                np.full(m, int(EdgeKind.PR), dtype=np.int64),
-                np.concatenate((
-                    np.full(ks, wakeup_extra, dtype=np.int64),
-                    np.zeros(m - ks, dtype=np.int64))),
-                np.full(m, NO_CATEGORY, dtype=np.int64),
-                np.zeros(m, dtype=np.int64),
-                np.full(m, NO_CATEGORY, dtype=np.int64),
-                np.zeros(m, dtype=np.int64),
-                np.concatenate((pos[keep] + 1, counts[msel] + 1)),
-            ))
-    else:
-        pr_src: List[int] = []
-        pr_dst: List[int] = []
-        pr_lat: List[int] = []
-        pr_slot: List[int] = []
-        for i, inst in enumerate(insts):
-            slot = 1
-            seen = set()
-            r_node = int(nid5[i]) + R
-            for j in inst.src_producers:
-                if j >= start and j not in seen:
-                    seen.add(j)
-                    pr_src.append((j - start) * 5 + P)
-                    pr_dst.append(r_node)
-                    pr_lat.append(wakeup_extra)
-                    pr_slot.append(slot)
-                    slot += 1
-            mem = inst.mem_producer
-            if inst.is_load and mem >= start and mem not in seen:
-                pr_src.append((mem - start) * 5 + P)
-                pr_dst.append(r_node)
-                pr_lat.append(0)
-                pr_slot.append(slot)
-        if pr_src:
-            m = len(pr_src)
-            blocks.append((
-                np.asarray(pr_src, dtype=np.int64),
-                np.asarray(pr_dst, dtype=np.int64),
-                np.full(m, int(EdgeKind.PR), dtype=np.int64),
-                np.asarray(pr_lat, dtype=np.int64),
-                np.full(m, NO_CATEGORY, dtype=np.int64),
-                np.zeros(m, dtype=np.int64),
-                np.full(m, NO_CATEGORY, dtype=np.int64),
-                np.zeros(m, dtype=np.int64),
-                np.asarray(pr_slot, dtype=np.int64),
-            ))
+    starts = icols.pr_start[start:start + n + 1]
+    lo, hi = int(starts[0]), int(starts[n])
+    prod = icols.pr_prod[lo:hi]
+    counts = np.diff(starts)
+    dst_local = np.repeat(local, counts)
+    pos = np.arange(lo, hi, dtype=np.int64) - np.repeat(starts[:-1], counts)
+    keep = prod >= start
+    mem = icols.mem_extra[start:start + n]
+    msel = np.nonzero(mem >= start)[0]
+    pr_src = np.concatenate(((prod[keep] - start) * 5 + P,
+                             (mem[msel] - start) * 5 + P))
+    if len(pr_src):
+        m = len(pr_src)
+        ks = int(np.count_nonzero(keep))
+        blocks.append((
+            pr_src,
+            np.concatenate((nid5[dst_local[keep]] + R, nid5[msel] + R)),
+            np.full(m, int(EdgeKind.PR), dtype=np.int64),
+            np.concatenate((np.full(ks, wakeup_extra, dtype=np.int64),
+                            np.zeros(m - ks, dtype=np.int64))),
+            np.full(m, NO_CATEGORY, dtype=np.int64),
+            np.zeros(m, dtype=np.int64),
+            np.full(m, NO_CATEGORY, dtype=np.int64),
+            np.zeros(m, dtype=np.int64),
+            np.concatenate((pos[keep] + 1, counts[msel] + 1)),
+        ))
 
     # ---- edge into E: RE(0) ----
     block(nid5 + R, nid5 + E, EdgeKind.RE, fu, 0,

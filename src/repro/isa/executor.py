@@ -5,24 +5,27 @@ memory); it produces the committed-path instruction stream that the
 trace-driven timing model replays.  Alongside values it records the
 dataflow facts the dependence-graph model needs: the dynamic producer
 of every register operand and the most recent conflicting store for
-every load (the PR edges of Table 3).
+every load (the PR edges of Table 3).  Each step appends these facts
+to typed arrays that become the trace's
+:class:`~repro.isa.trace.TraceBlock` without a copy; no ``DynInst`` is
+built here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from array import array
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.instructions import (
     INST_BYTES,
     REG_LINK,
     REG_ZERO,
     TOTAL_REG_COUNT,
-    DynInst,
     Opcode,
     StaticInst,
 )
 from repro.isa.program import Program
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, TraceBlock
 
 #: Memory is tracked at this granularity for store-to-load dependences.
 MEM_WORD = 8
@@ -42,7 +45,7 @@ class ExecutionLimitExceeded(RuntimeError):
 
 
 class Executor:
-    """Interprets a :class:`Program`, yielding committed ``DynInst`` records.
+    """Interprets a :class:`Program` into its committed-path trace.
 
     Parameters
     ----------
@@ -94,31 +97,48 @@ class Executor:
     def run(self) -> Trace:
         """Execute until HALT; return the committed dynamic trace."""
         program = self.program
+        statics = list(program)
+        index_at = {st.pc: k for k, st in enumerate(statics)}
+        last_writer = self._last_writer
+        step = self._step
+        columns = (array("q"), array("q"), array("B"), array("Q"),
+                   array("B"), array("q"), array("q"))
+        (add_sidx, add_next_pc, add_taken, add_addr, add_has_addr,
+         add_prod, add_mem_producer) = (c.append for c in columns)
         pc = program.start_pc
-        insts: List[DynInst] = []
         seq = 0
         while True:
             if seq >= self.max_insts:
                 raise ExecutionLimitExceeded(
                     f"{program.name}: exceeded {self.max_insts} instructions"
                 )
-            static = program.fetch(pc)
-            dyn = self._step(static, seq)
-            insts.append(dyn)
+            k = index_at.get(pc)
+            if k is None:
+                program.fetch(pc)  # raises the missing-instruction error
+            static = statics[k]
+            # producers are read before the step writes its destination
+            for s in static.srcs:
+                add_prod(-1 if s == REG_ZERO else last_writer[s])
+            next_pc, taken, mem_addr, mem_producer = step(static, seq)
+            add_sidx(k)
+            add_next_pc(next_pc)
+            add_taken(taken)
+            add_addr(mem_addr or 0)
+            add_has_addr(mem_addr is not None)
+            add_mem_producer(mem_producer)
             seq += 1
             if static.opcode is Opcode.HALT:
                 break
-            pc = dyn.next_pc
-        return Trace(program, insts)
+            pc = next_pc
+        return Trace(program, TraceBlock(program, *columns))
 
     # ------------------------------------------------------------------
 
-    def _step(self, st: StaticInst, seq: int) -> DynInst:
-        """Execute one static instruction; return its dynamic record."""
+    def _step(self, st: StaticInst,
+              seq: int) -> Tuple[int, bool, Optional[int], int]:
+        """Execute one static instruction; return its ``(next_pc, taken,
+        mem_addr, mem_producer)``."""
         op = st.opcode
-        producers = tuple(
-            -1 if s == REG_ZERO else self._last_writer[s] for s in st.srcs
-        )
         next_pc = st.pc + INST_BYTES
         taken = False
         mem_addr: Optional[int] = None
@@ -212,12 +232,4 @@ class Executor:
         else:  # pragma: no cover - all opcodes handled above
             raise NotImplementedError(op)
 
-        return DynInst(
-            seq=seq,
-            static=st,
-            next_pc=next_pc,
-            taken=taken,
-            mem_addr=mem_addr,
-            src_producers=producers,
-            mem_producer=mem_producer,
-        )
+        return next_pc, taken, mem_addr, mem_producer

@@ -25,7 +25,7 @@ self-contained HTML report with per-phase timing bars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.viz.page import Cell, Html, bar, code, esc, page, sparkline, table
 
@@ -294,14 +294,10 @@ def _manifest_summary(manifest: Dict[str, Any]) -> str:
 
 def render_html_report(manifests: Sequence[Dict[str, Any]],
                        diff: Optional[LedgerDiff] = None,
-                       title: str = "repro run-ledger report",
-                       paper_deltas: Optional[Dict[str, Tuple[float, float]]]
-                       = None) -> str:
+                       title: str = "repro run-ledger report") -> str:
     """A self-contained HTML report over *manifests* (newest last).
 
-    With a *diff*, the regression table is included; *paper_deltas*
-    (``label -> (measured, paper)``) adds the accuracy-vs-paper
-    section bench manifests carry.
+    With a *diff*, the regression table is included.
     """
     parts = [f"<h1>{esc(title)}</h1>"]
     if diff is not None:
@@ -318,12 +314,6 @@ def render_html_report(manifests: Sequence[Dict[str, Any]],
                     f.threshold, f.verdict) for f in diff.findings),
                   align="lrrrlr",
                   row_classes=[f.verdict for f in diff.findings])]
-    if paper_deltas:
-        parts += ["<h2>Accuracy vs paper</h2>", table(
-            ("metric", "measured", "paper", "delta"),
-            ((label, f"{measured:.2f}", f"{paper:.2f}",
-              f"{measured - paper:+.2f}")
-             for label, (measured, paper) in sorted(paper_deltas.items())))]
     max_ms = max((float(m.get("phases", {}).get(p, 0.0))
                   for m in manifests for p in _PHASES), default=0.0)
     for manifest in manifests:

@@ -24,13 +24,13 @@ Layout on disk::
 
     <root>/<kind>/<key[:2]>/<key>.<ext>
 
-with ``kind`` one of ``trace`` (``.npz``: a suite trace's
-per-instruction facts and a JSON head with the program and warm
-ranges; keyed by :func:`trace_key` and written when a trace is
-generated), ``sim`` (``.npz`` event matrix), ``graph`` (``.npz`` edge
-arrays), ``meta`` (JSON: cycles + instruction count, so a warm run can
-skip loading the full result), and ``cycles`` (JSON: re-simulated cycle
-counts for :mod:`repro.analysis.multisim`).
+with ``kind`` one of ``trace`` (``.npz``: a suite trace's block
+columns and a JSON head with the program and warm ranges; keyed by
+:func:`trace_key` and written when a trace is generated), ``sim``
+(``.npz`` event matrix), ``graph`` (``.npz`` edge arrays), ``meta``
+(JSON: cycles + instruction count, so a warm run can skip loading the
+full result), and ``cycles`` (JSON: re-simulated cycle counts for
+:mod:`repro.analysis.multisim`).
 Writes go through a temporary file in the destination directory and an
 atomic ``os.replace``, so concurrent runs sharing one cache directory
 can only ever observe complete artifacts.
@@ -65,18 +65,15 @@ import threading
 from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None
+import numpy as np
 
 import repro.obs as obs
 import repro.graph.builder
 import repro.uarch.events
 from repro.graph.model import DependenceGraph
-from repro.isa.instructions import DynInst, Opcode, StaticInst
+from repro.isa.instructions import Opcode, StaticInst
 from repro.isa.program import Program
-from repro.isa.trace import Trace
+from repro.isa.trace import BLOCK_COLUMNS, Trace, TraceBlock
 from repro.uarch.config import IdealConfig, MachineConfig
 from repro.uarch.events import EventColumns, SimResult
 from repro.uarch.persist import static_to_dict
@@ -105,7 +102,9 @@ SIM_KEY_VERSION = 2
 #: :func:`trace_key`.  The artifact holds only what the generator
 #: produces (no graph-model product such as the InstColumns block), so
 #: a graph-model change never needs it bumped; a layout change does.
-TRACE_KEY_VERSION = 1
+#: Version 2 stores the trace block's columns (one npz array per
+#: :data:`~repro.isa.trace.BLOCK_COLUMNS` entry).
+TRACE_KEY_VERSION = 2
 
 
 def _digest(payload: Any) -> str:
@@ -142,24 +141,18 @@ def trace_fingerprint(trace) -> str:
     hasher = hashlib.sha256()
     hasher.update(json.dumps(header, sort_keys=True,
                              separators=(",", ":")).encode())
-    # the per-instruction dynamic facts are hashed as fixed-endian
-    # int64 bytes -- orders of magnitude cheaper than rendering tens of
-    # thousands of rows to JSON, and just as content-defined.  Variable
-    # -length producer tuples are flattened with explicit counts so the
-    # encoding stays unambiguous.
-    rows = []
-    prods = []
-    for dyn in trace.insts:
-        rows.append((dyn.pc, dyn.next_pc, int(dyn.taken),
-                     -1 if dyn.mem_addr is None else dyn.mem_addr,
-                     dyn.mem_producer, len(dyn.src_producers)))
-        prods.extend(dyn.src_producers)
-    if np is not None:
-        hasher.update(np.asarray(rows, dtype="<i8").tobytes())
-        hasher.update(np.asarray(prods, dtype="<i8").tobytes())
-    else:  # pragma: no cover - numpy ships with the package
-        hasher.update(json.dumps([rows, prods],
-                                 separators=(",", ":")).encode())
+    # the per-instruction dynamic facts are hashed as little-endian
+    # int64 bytes, read from the trace's columns: one ``(pc, next_pc,
+    # taken, address or -1, memory producer, producer count)`` row per
+    # instruction, then the flattened register producers (the explicit
+    # counts keep the encoding unambiguous)
+    block = trace.block
+    rows = np.column_stack((
+        block.pc, block.next_pc, block.taken,
+        np.where(block.has_addr, block.addr.view(np.int64), -1),
+        block.mem_producer, np.diff(block.prod_start)))
+    hasher.update(rows.astype("<i8").tobytes())
+    hasher.update(block.prod.astype("<i8").tobytes())
     digest = hasher.hexdigest()
     try:
         trace._repro_fingerprint = digest
@@ -438,37 +431,22 @@ class ArtifactCache:
 
     def get_trace(self, key: str) -> Optional[Trace]:
         """The trace stored under *key* (see :func:`trace_key`), or
-        None."""
-        if np is None or not self.enabled:
+        None.  The stored columns become the trace's block as-is."""
+        if not self.enabled:
             return None
 
         def loader(path: str) -> Trace:
             with np.load(path) as data:
                 head = json.loads(bytes(bytearray(data["head"])).decode())
-                rows = data["dyn"].tolist()
-                mem_producers = data["mem_producer"].tolist()
-                producers = data["producers"].tolist()
+                columns = {name: data[name] for name in BLOCK_COLUMNS}
             opcodes = Opcode.__members__  # a dict: Opcode[...] is slow
-            statics = [StaticInst(pc, opcodes[op], dst, tuple(srcs), imm,
-                                  target, label)
-                       for pc, op, dst, srcs, imm, target, label
-                       in head["program"]]
-            at_pc = {s.pc: s for s in statics}
-            insts = []
-            at = 0
-            for seq, ((pc, next_pc, addr, flags, nsrc), mem_producer) \
-                    in enumerate(zip(rows, mem_producers)):
-                # DynInst's fields in order: seq, static, next_pc, taken,
-                # mem_addr, src_producers, mem_producer
-                insts.append(DynInst(
-                    seq, at_pc[pc], next_pc, bool(flags & 1),
-                    addr if flags & 2 else None,
-                    tuple(producers[at:at + nsrc]), mem_producer))
-                at += nsrc
-            if at != len(producers) or len(insts) != len(mem_producers):
-                raise ValueError("trace artifact arrays disagree in length")
-            return Trace(Program(statics, head["labels"], name=head["name"]),
-                         insts,
+            program = Program(
+                [StaticInst(pc, opcodes[op], dst, tuple(srcs), imm, target,
+                            label)
+                 for pc, op, dst, srcs, imm, target, label
+                 in head["program"]],
+                head["labels"], name=head["name"])
+            return Trace(program, TraceBlock(program, **columns),
                          tuple(tuple(r) for r in head["warm_l1"]),
                          tuple(tuple(r) for r in head["warm_l2"]))
 
@@ -477,32 +455,16 @@ class ArtifactCache:
     def put_trace(self, key: str, trace: Trace) -> None:
         """Store *trace* under *key* (see :func:`trace_key`).
 
-        Per instruction: the PC, next PC, memory address,
-        flags (taken, has an address) and producer count as one
-        ``uint64`` matrix (addresses span the full 64 bits), the memory
-        producer, and the flattened register producers; plus a JSON
-        head with the program (one ``[pc, opcode, dst, srcs, imm,
-        target, label]`` row per instruction) and warm ranges.
+        The block's columns (see :class:`~repro.isa.trace.TraceBlock`)
+        as they are, plus a JSON head with the program (one ``[pc,
+        opcode, dst, srcs, imm, target, label]`` row per instruction)
+        and warm ranges.
         """
-        if np is None or not self.enabled:
+        if not self.enabled:
             return
 
         def writer(tmp: str) -> None:
-            program, insts = trace.program, trace.insts
-            # filled straight from the instructions: no per-row python
-            # objects outlive the pass (a daemon keeps freed memory)
-            dyn = np.fromiter(
-                (v for d in insts for v in (
-                    d.static.pc, d.next_pc, d.mem_addr or 0,
-                    d.taken | (d.mem_addr is not None) << 1,
-                    len(d.src_producers))),
-                dtype=np.uint64, count=5 * len(insts)).reshape(-1, 5)
-            mem_producers = np.fromiter(
-                (d.mem_producer for d in insts), dtype=np.int64,
-                count=len(insts))
-            producers = np.fromiter(
-                (j for d in insts for j in d.src_producers),
-                dtype=np.int64)
+            program, block = trace.program, trace.block
             # one positional row per static instruction: encoding a
             # dict per row costs ~3x as much on large programs
             head = json.dumps({
@@ -514,10 +476,9 @@ class ArtifactCache:
                 "warm_l2": trace.warm_l2_ranges,
             }, separators=(",", ":")).encode()
             with open(tmp, "wb") as handle:
-                np.savez(handle,
-                         head=np.frombuffer(head, dtype=np.uint8),
-                         dyn=dyn, mem_producer=mem_producers,
-                         producers=producers)
+                np.savez(handle, head=np.frombuffer(head, dtype=np.uint8),
+                         **{name: getattr(block, name)
+                            for name in BLOCK_COLUMNS})
 
         self._store("trace", key, writer)
 
@@ -538,7 +499,7 @@ class ArtifactCache:
         Both must be the objects the key was derived from (content
         addressing guarantees they describe the same run).
         """
-        if np is None or not self.enabled:
+        if not self.enabled:
             return None
         if trace is None or config is None:
             raise TypeError("get_sim needs the trace and config the "
@@ -563,7 +524,7 @@ class ArtifactCache:
         A columnar result's matrix goes to disk as-is; an object-plane
         result (reference simulator) is gathered into columns first.
         """
-        if np is None or not self.enabled:
+        if not self.enabled:
             return
 
         def writer(tmp: str) -> None:
@@ -585,7 +546,7 @@ class ArtifactCache:
 
     def get_graph(self, key: str) -> Optional[DependenceGraph]:
         """Rebuild the cached dependence graph under *key*, or None."""
-        if np is None or not self.enabled:
+        if not self.enabled:
             return None
 
         def loader(path: str) -> DependenceGraph:
@@ -606,7 +567,7 @@ class ArtifactCache:
 
     def put_graph(self, key: str, graph: DependenceGraph) -> None:
         """Store *graph*'s edge columns and seed under *key*."""
-        if np is None or not self.enabled:
+        if not self.enabled:
             return
 
         def writer(tmp: str) -> None:

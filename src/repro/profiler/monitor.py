@@ -56,7 +56,7 @@ class HardwareMonitor:
 
     def _collect(self, result: SimResult) -> ProfileData:
         cfg = self.config
-        insts = result.trace.insts
+        insts = list(result.trace.insts)  # indexed at random
         events = result.events
         n = len(insts)
         bits = signature_stream(insts, events)

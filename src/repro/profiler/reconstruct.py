@@ -28,6 +28,7 @@ from repro.isa.instructions import (
     StaticInst,
 )
 from repro.isa.program import Program
+from repro.isa.trace import InstView, Trace
 from repro.profiler.samples import DetailedSample, ProfileData, SignatureSample
 from repro.profiler.signature import match_score
 from repro.uarch.config import MachineConfig
@@ -64,9 +65,10 @@ class ReconstructionStats:
 
 
 class Fragment:
-    """A reconstructed microexecution fragment."""
+    """A reconstructed microexecution fragment (its instructions are the
+    lazy view of a trace built from the reconstructed ``DynInst`` list)."""
 
-    def __init__(self, insts: List[DynInst], events: List[InstEvents],
+    def __init__(self, insts: InstView, events: List[InstEvents],
                  config: MachineConfig) -> None:
         self.insts = insts
         self.events = events
@@ -155,7 +157,8 @@ class FragmentReconstructor:
             pc = next_pc
 
         self.stats.completed += 1
-        return Fragment(insts, events, self.config)
+        return Fragment(Trace(self.program, insts).insts, events,
+                        self.config)
 
     # ------------------------------------------------------------------
 

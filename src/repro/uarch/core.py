@@ -66,7 +66,7 @@ class OutOfOrderCore:
         """Simulate *trace* cycle by cycle; return timing and events."""
         cfg = self.config
         ideal = self.ideal
-        insts = trace.insts
+        insts = list(trace.insts)  # indexed at random: materialize once
         n = len(insts)
         if n == 0:
             return SimResult(trace, cfg, ideal, [], 0)

@@ -28,10 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Union
 
-try:  # numpy backs the columnar plane; the object plane needs nothing
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None
+import numpy as np
 
 import repro.obs as obs
 from repro.isa.trace import Trace

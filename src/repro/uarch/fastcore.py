@@ -40,14 +40,11 @@ import weakref
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-    np = None
+import numpy as np
 
 import repro.obs as obs
 from repro.isa.instructions import OpClass, Opcode
-from repro.isa.trace import Trace
+from repro.isa.trace import OPCLASS_CODE, OPCLASSES, OPCODES, Trace
 from repro.native import NativeKernel, i64_ptr as _ptr
 from repro.uarch.config import (
     OPCLASS_TO_FU,
@@ -918,17 +915,28 @@ _OF_L1I, _OF_L2I, _OF_ITLB, _OF_L1D, _OF_L2D, _OF_DTLB, _OF_MISP = (
 (_S_RETIRED, _S_CYCLES, _S_L1I_H, _S_L1I_M, _S_L1D_H, _S_L1D_M, _S_L2_H,
  _S_L2_M, _S_ITLB_H, _S_ITLB_M, _S_DTLB_H, _S_DTLB_M, _S_COUNT) = range(13)
 
-#: opclass -> dense index used by the latency table and FU mapping
-_OPCLASS_IDX = {
-    OpClass.IALU: 0, OpClass.IMUL: 1, OpClass.FALU: 2, OpClass.FMUL: 3,
-    OpClass.FDIV: 4, OpClass.LOAD: 5, OpClass.STORE: 6, OpClass.BRANCH: 7,
-}
 _FU_IDX = {FUKind.IALU: 0, FUKind.IMUL: 1, FUKind.FALU: 2, FUKind.FMUL: 3,
            FUKind.MEM: 4}
-_OPCLASS_FU = {cls: _FU_IDX[kind] for cls, kind in OPCLASS_TO_FU.items()}
-#: branch kind codes for the predictor pre-pass
-_BRANCH_KIND = {Opcode.BEQ: 0, Opcode.BNE: 0, Opcode.BLT: 0, Opcode.BGE: 0,
-                Opcode.J: 1, Opcode.CALL: 2, Opcode.RET: 3, Opcode.JR: 4}
+#: per-code tables the trace block's op-class / opcode columns index
+#: (the latency table is indexed by op-class code too): FU kind, branch
+#: kind code for the predictor pre-pass, and the flag bits
+_FU_OF_CLASS = np.asarray([_FU_IDX[OPCLASS_TO_FU[c]] for c in OPCLASSES],
+                          dtype=np.int64)
+_KIND_OF_OPCODE = np.asarray([{
+    Opcode.J: 1, Opcode.CALL: 2, Opcode.RET: 3, Opcode.JR: 4}.get(op, 0)
+    for op in OPCODES], dtype=np.int64)
+_FLAGS_OF_OPCODE = np.asarray([
+    (_FL_LOAD if op.opclass is OpClass.LOAD else 0)
+    | (_FL_STORE if op.opclass is OpClass.STORE else 0)
+    | (_FL_BRANCH if op.opclass is OpClass.BRANCH else 0)
+    | (_FL_PREFETCH if op is Opcode.PREFETCH else 0)
+    | (_FL_MEM if op.opclass.is_mem else 0) for op in OPCODES],
+    dtype=np.int64)
+
+
+def _nonempty(col: "np.ndarray") -> "np.ndarray":
+    """*col*, or a one-zero placeholder the kernel can point at."""
+    return col if len(col) else np.zeros(1, dtype=np.int64)
 
 
 def _bind_sim(lib):
@@ -996,98 +1004,58 @@ def _fast_supported(cfg: MachineConfig, ideal: IdealConfig) -> bool:
 # ----------------------------------------------------------------------
 
 class _Columns:
-    """Struct-of-arrays view of one trace, shared by every sim point."""
+    """Struct-of-arrays view of one trace, shared by every sim point,
+    derived from the trace's block with whole-array numpy."""
 
     __slots__ = ("n", "pc", "flags", "fukind", "maddr", "dep_start",
-                 "dep_prod", "dep_flag", "opclass", "pc_list",
+                 "dep_prod", "dep_flag", "opclass",
                  "branch_idx", "branch_pc", "branch_kind", "branch_taken",
                  "branch_next", "warm_all", "warm_l1", "zero_mispred",
-                 "_num_branches")
+                 "num_branches")
 
     def __init__(self, trace: Trace) -> None:
-        insts = trace.insts
-        n = self.n = len(insts)
-        pc = [0] * n
-        flags = [0] * n
-        opclass = [0] * n
-        fukind = [0] * n
-        maddr = [0] * n
-        dep_start = [0] * (n + 1)
-        dep_prod: List[int] = []
-        dep_flag: List[int] = []
-        b_idx: List[int] = []
-        b_pc: List[int] = []
-        b_kind: List[int] = []
-        b_taken: List[int] = []
-        b_next: List[int] = []
-        for i, inst in enumerate(insts):
-            cls = inst.opclass
-            pc[i] = inst.pc
-            opclass[i] = _OPCLASS_IDX[cls]
-            fukind[i] = _OPCLASS_FU[cls]
-            fl = 0
-            if cls is OpClass.LOAD:
-                fl |= _FL_LOAD
-            if cls is OpClass.STORE:
-                fl |= _FL_STORE
-            if cls is OpClass.BRANCH:
-                fl |= _FL_BRANCH
-                b_idx.append(i)
-                b_pc.append(inst.pc)
-                b_kind.append(_BRANCH_KIND[inst.opcode])
-                b_taken.append(int(inst.taken))
-                b_next.append(inst.next_pc)
-            if inst.taken:
-                fl |= _FL_TAKEN
-            if inst.opcode is Opcode.PREFETCH:
-                fl |= _FL_PREFETCH
-            if cls.is_mem:
-                fl |= _FL_MEM
-                maddr[i] = inst.mem_addr
-            flags[i] = fl
-            # dependence edges: unique producers, with a flag marking
-            # register (vs. store-to-load) edges for the wakeup extra
-            deps: Dict[int, int] = {}
-            for j in inst.src_producers:
-                if j >= 0:
-                    deps[j] = 1
-            if cls is OpClass.LOAD and inst.mem_producer >= 0:
-                deps.setdefault(inst.mem_producer, 0)
-            for j, is_src in deps.items():
-                dep_prod.append(j)
-                dep_flag.append(is_src)
-            dep_start[i + 1] = len(dep_prod)
-        as_col = (lambda xs: np.ascontiguousarray(xs, dtype=np.int64))
-        self.pc_list = pc
-        self.pc = as_col(pc)
-        self.flags = as_col(flags)
-        self.opclass = as_col(opclass)
-        self.fukind = as_col(fukind)
-        self.maddr = as_col(maddr)
-        self.dep_start = as_col(dep_start)
-        self.dep_prod = as_col(dep_prod if dep_prod else [0])
-        self.dep_flag = as_col(dep_flag if dep_flag else [0])
-        self.branch_idx = as_col(b_idx if b_idx else [0])
-        self.branch_pc = as_col(b_pc if b_pc else [0])
-        self.branch_kind = as_col(b_kind if b_kind else [0])
-        self.branch_taken = as_col(b_taken if b_taken else [0])
-        self.branch_next = as_col(b_next if b_next else [0])
-        self.branch_idx = self.branch_idx[:len(b_idx)]
-        warm_all: List[int] = []
-        for start, end in (tuple(getattr(trace, "warm_l2_ranges", ()))
-                           + tuple(getattr(trace, "warm_l1_ranges", ()))):
-            warm_all.extend((start, end))
-        warm_l1: List[int] = []
-        for start, end in tuple(getattr(trace, "warm_l1_ranges", ())):
-            warm_l1.extend((start, end))
-        self.warm_all = as_col(warm_all if warm_all else [0])
-        self.warm_l1 = as_col(warm_l1 if warm_l1 else [0])
+        block = trace.block
+        n = self.n = block.n
+        opcode = block.opcode
+        self.pc = block.pc
+        self.opclass = block.opclass
+        self.fukind = _FU_OF_CLASS.take(self.opclass)
+        taken = block.taken
+        self.flags = _FLAGS_OF_OPCODE.take(opcode) | (taken * _FL_TAKEN)
+        is_mem = (self.flags & _FL_MEM) != 0
+        self.maddr = np.where(is_mem, block.addr.view(np.int64), 0)
+        # dependence edges: the unique register producers (flag 1), then
+        # a load's store producer unless it is one of them (flag 0, no
+        # wakeup extra) -- the graph builder's deduplicated CSR
+        icols = trace.inst_columns()
+        has_mem = icols.mem_extra >= 0
+        dep_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(has_mem, out=dep_start[1:])
+        dep_start += icols.pr_start
+        total = int(dep_start[-1])
+        mem_slot = dep_start[1:][has_mem] - 1
+        dep_flag = np.ones(total, dtype=np.int64)
+        dep_flag[mem_slot] = 0
+        dep_prod = np.empty(total, dtype=np.int64)
+        dep_prod[mem_slot] = icols.mem_extra[has_mem]
+        dep_prod[dep_flag == 1] = icols.pr_prod
+        self.dep_start = dep_start
+        self.dep_prod = _nonempty(dep_prod)
+        self.dep_flag = _nonempty(dep_flag)
+        b_idx = self.branch_idx = np.nonzero(
+            self.opclass == OPCLASS_CODE[OpClass.BRANCH])[0]
+        self.num_branches = len(b_idx)
+        self.branch_pc = _nonempty(self.pc[b_idx])
+        self.branch_kind = _nonempty(_KIND_OF_OPCODE[opcode[b_idx]])
+        self.branch_taken = _nonempty(taken[b_idx].astype(np.int64))
+        self.branch_next = _nonempty(block.next_pc[b_idx])
+        warm_l1 = tuple(getattr(trace, "warm_l1_ranges", ()))
+        warm_all = tuple(getattr(trace, "warm_l2_ranges", ())) + warm_l1
+        self.warm_all = np.asarray(
+            [v for r in warm_all for v in r] or [0], dtype=np.int64)
+        self.warm_l1 = np.asarray(
+            [v for r in warm_l1 for v in r] or [0], dtype=np.int64)
         self.zero_mispred = np.zeros(n if n else 1, dtype=np.int64)
-        self._num_branches = len(b_idx)
-
-    @property
-    def num_branches(self) -> int:
-        return int(self._num_branches)
 
 
 _COLUMNS_CACHE: "weakref.WeakKeyDictionary[Trace, _Columns]" = \
@@ -1199,12 +1167,12 @@ def _params_for(cfg: MachineConfig, ideal: IdealConfig,
 
 def _latency_table(cfg: MachineConfig, ideal: IdealConfig) -> "np.ndarray":
     tab = np.zeros(8, dtype=np.int64)
-    tab[_OPCLASS_IDX[OpClass.IALU]] = 0 if ideal.shalu else 1
-    tab[_OPCLASS_IDX[OpClass.IMUL]] = 0 if ideal.lgalu else cfg.imul_latency
-    tab[_OPCLASS_IDX[OpClass.FALU]] = 0 if ideal.lgalu else cfg.falu_latency
-    tab[_OPCLASS_IDX[OpClass.FMUL]] = 0 if ideal.lgalu else cfg.fmul_latency
-    tab[_OPCLASS_IDX[OpClass.FDIV]] = 0 if ideal.lgalu else cfg.fdiv_latency
-    tab[_OPCLASS_IDX[OpClass.BRANCH]] = 1
+    tab[OPCLASS_CODE[OpClass.IALU]] = 0 if ideal.shalu else 1
+    tab[OPCLASS_CODE[OpClass.IMUL]] = 0 if ideal.lgalu else cfg.imul_latency
+    tab[OPCLASS_CODE[OpClass.FALU]] = 0 if ideal.lgalu else cfg.falu_latency
+    tab[OPCLASS_CODE[OpClass.FMUL]] = 0 if ideal.lgalu else cfg.fmul_latency
+    tab[OPCLASS_CODE[OpClass.FDIV]] = 0 if ideal.lgalu else cfg.fdiv_latency
+    tab[OPCLASS_CODE[OpClass.BRANCH]] = 1
     # LOAD/STORE latencies come from the memory hierarchy, not the table
     return tab
 

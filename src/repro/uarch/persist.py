@@ -6,10 +6,10 @@ machine; this module gives the simulator the same property: a
 reloaded result drives graph construction, breakdowns and icosts
 exactly like a fresh run.
 
-The trace's architectural facts (opcode, producers, branch outcomes)
-are stored per instruction alongside the timing events; the program
-binary is rebuilt from its static instruction list, so the saved file
-is self-contained.
+The trace's block columns (static index, branch outcomes, addresses,
+producers) are stored alongside the timing events; the program binary
+is rebuilt from its static instruction list, so the saved file is
+self-contained.
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ from __future__ import annotations
 import gzip
 import json
 from dataclasses import fields
-from typing import List
 
-from repro.isa.instructions import DynInst, Opcode, StaticInst
+from repro.isa.instructions import Opcode, StaticInst
 from repro.isa.program import Program
-from repro.isa.trace import Trace
+from repro.isa.trace import BLOCK_COLUMNS, Trace, TraceBlock
 from repro.uarch.config import IdealConfig, MachineConfig
 from repro.uarch.events import EVENT_FIELDS, InstEvents, SimResult
 
-#: File-format version; readers reject unknown majors.
-FORMAT_VERSION = 1
+#: File-format version; readers reject unknown majors.  Version 2
+#: stores the trace as its block columns.
+FORMAT_VERSION = 2
 
 
 def static_to_dict(inst: StaticInst) -> dict:
@@ -60,17 +60,8 @@ def result_to_dict(result: SimResult) -> dict:
         "ideal": list(result.ideal.active()) if result.ideal else [],
         "program": [static_to_dict(inst) for inst in program],
         "labels": program.labels,
-        "insts": [
-            {
-                "i": program.index_of(dyn.pc),
-                "next_pc": dyn.next_pc,
-                "taken": int(dyn.taken),
-                "addr": dyn.mem_addr,
-                "prod": list(dyn.src_producers),
-                "mem_prod": dyn.mem_producer,
-            }
-            for dyn in result.trace.insts
-        ],
+        "trace": {name: getattr(result.trace.block, name).tolist()
+                  for name in BLOCK_COLUMNS},
         "events": [
             [getattr(ev, name) for name in EVENT_FIELDS]
             for ev in result.events
@@ -86,18 +77,7 @@ def result_from_dict(data: dict) -> SimResult:
         raise ValueError(f"unsupported result-file version {version!r}")
     statics = [_static_from_dict(d) for d in data["program"]]
     program = Program(statics, data["labels"], name=data["name"])
-    insts: List[DynInst] = []
-    for seq, d in enumerate(data["insts"]):
-        insts.append(DynInst(
-            seq=seq,
-            static=statics[d["i"]],
-            next_pc=d["next_pc"],
-            taken=bool(d["taken"]),
-            mem_addr=d["addr"],
-            src_producers=tuple(d["prod"]),
-            mem_producer=d["mem_prod"],
-        ))
-    trace = Trace(program, insts)
+    trace = Trace(program, TraceBlock(program, **data["trace"]))
     saved_fields = data["event_fields"]
     events = []
     for row in data["events"]:

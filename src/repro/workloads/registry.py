@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import repro.obs as obs
-from repro.isa.instructions import DynInst
 from repro.isa.program import Program
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, TraceBlock
 
 if TYPE_CHECKING:  # the generator loads only when a trace is generated
     from repro.workloads.spec import Workload
@@ -123,10 +122,10 @@ class SuiteTrace(Trace):
     It carries its :attr:`identity` from construction, so every cache
     key derives from it without reading the trace, and a run whose
     graph and meta artifacts are cached never does.  The first access
-    to ``program``, ``insts``, the warm ranges or :meth:`inst_columns`
-    reads the trace: from the in-process trace cache, else the
-    *cache*'s ``trace`` artifact, else by running the generator
-    (storing the artifact when *cache* is enabled).
+    to ``program``, ``block``, ``insts``, the warm ranges or
+    :meth:`inst_columns` reads the trace: from the in-process trace
+    cache, else the *cache*'s ``trace`` artifact, else by running the
+    generator (storing the artifact when *cache* is enabled).
     """
 
     def __init__(self, name: str, scale: float = 1.0, seed: int = 0,
@@ -153,8 +152,8 @@ class SuiteTrace(Trace):
         return self._read().program
 
     @property
-    def insts(self) -> List[DynInst]:
-        return self._read().insts
+    def block(self) -> TraceBlock:
+        return self._read().block
 
     @property
     def warm_l1_ranges(self) -> tuple:
@@ -163,11 +162,6 @@ class SuiteTrace(Trace):
     @property
     def warm_l2_ranges(self) -> tuple:
         return self._read().warm_l2_ranges
-
-    def inst_columns(self):
-        """The trace's :class:`~repro.isa.trace.InstColumns` block,
-        shared with the trace it read."""
-        return self._read().inst_columns()
 
     def __reduce__(self):
         # pickled (for a pool child, say) as the trace itself: the

@@ -88,6 +88,25 @@ class TestPipelineSpans:
             sources.append(source)
         assert sources == ["generated", "skipped", "loaded"]
 
+    def test_insts_materialized_counter(self):
+        """``workload.insts_materialized`` bills every ``DynInst`` the
+        lazy ``trace.insts`` view builds: the reference core walks
+        objects (built once per trace), the fast core reads columns."""
+        from tests.conftest import build_loop_program
+        from repro.isa import Executor
+        from repro.uarch import fastcore
+
+        trace = Executor(build_loop_program()).run()
+        c = obs.enable()
+        fastcore.simulate(trace, engine="fast")
+        obs.disable()
+        assert c.counter("workload.insts_materialized") == 0
+        c = obs.enable()
+        for _ in range(2):
+            fastcore.simulate(trace, engine="reference")
+        obs.disable()
+        assert c.counter("workload.insts_materialized") == len(trace)
+
     def test_span_args_carry_sizes(self, collected):
         by_name = {s[0]: s[4] for s in collected.spans}
         assert by_name["graph.build"]["insns"] > 0

@@ -104,7 +104,8 @@ class TestLoadedTraces:
         _read("gzip", cache)
         with np.load(_artifact_path(cache, "gzip")) as data:
             assert sorted(data.files) == [
-                "dyn", "head", "mem_producer", "producers"]
+                "addr", "has_addr", "head", "mem_producer", "next_pc",
+                "prod", "sidx", "taken"]
 
     def test_trace_key_follows_the_versions(self, monkeypatch):
         from repro.pipeline import artifacts
